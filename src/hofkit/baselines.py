@@ -69,16 +69,20 @@ class BowFeaturizer:
             return {wid: c * self.idf[wid] for wid, c in counts.items()}
         return counts
 
+    def _fill(self, row: np.ndarray, ex: EncodedExample) -> None:
+        for wid, val in self.vector(ex).items():
+            row[wid] = val
+
     def dense(self, ex: EncodedExample) -> np.ndarray:
         out = np.zeros(self.vocab_size, dtype=np.float64)
-        for wid, val in self.vector(ex).items():
-            out[wid] = val
+        self._fill(out, ex)
         return out
 
     def matrix(self, examples: Sequence[EncodedExample]) -> np.ndarray:
-        return np.stack([self.dense(ex) for ex in examples]) if examples else np.zeros(
-            (0, self.vocab_size)
-        )
+        out = np.zeros((len(examples), self.vocab_size), dtype=np.float64)
+        for row, ex in zip(out, examples):
+            self._fill(row, ex)
+        return out
 
 
 def featurize(ex: EncodedExample, featurizer: BowFeaturizer) -> dict:
@@ -190,32 +194,40 @@ def ridge_predict(model: RidgeModel, x: np.ndarray) -> int:
 # -- k-nearest neighbours ----------------------------------------------------
 
 
-def _cosine_rows(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise cosine; zero-norm rows or query give similarity 0."""
-    qn = float(np.linalg.norm(q))
-    if qn == 0.0:
-        return np.zeros(matrix.shape[0])
-    norms = np.linalg.norm(matrix, axis=1)
-    sims = np.zeros(matrix.shape[0])
-    nz = norms > 0
-    sims[nz] = (matrix[nz] @ q) / (norms[nz] * qn)
-    return sims
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Scale each row of ``x`` to unit L2 norm in place; zero rows stay zero."""
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    norms[norms == 0.0] = 1.0
+    x /= norms[:, None]
+    return x
 
 
-def knn_predict(q: np.ndarray, train: np.ndarray, labels: Sequence[int], k: int) -> int:
-    """Majority vote among the k most cosine-similar training vectors.
+def _knn_vote(queries: np.ndarray, train: np.ndarray, labels: Sequence[int], k: int) -> list:
+    """Majority vote among the k most similar training rows, per query row.
 
-    Similarity ties keep training order (lower index wins); vote ties go to
-    HOF.
+    Both matrices hold unit-norm (or zero) rows, so one product gives every
+    cosine. Similarity ties keep training order (lower index wins); vote ties
+    go to HOF.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if train.shape[0] == 0:
         raise ValueError("training set is empty")
-    sims = _cosine_rows(train, q)
-    order = np.argsort(-sims, kind="stable")[:k]
-    votes = sum(1 if labels[int(i)] == HOF else -1 for i in order)
-    return HOF if votes >= 0 else NOT
+    votes_for = np.where(np.asarray(labels) == HOF, 1, -1)
+    return [
+        HOF if votes_for[np.argsort(-row, kind="stable")[:k]].sum() >= 0 else NOT
+        for row in queries @ train.T
+    ]
+
+
+def knn_predict(q: np.ndarray, train: np.ndarray, labels: Sequence[int], k: int) -> int:
+    """Majority vote among the k most cosine-similar training vectors.
+
+    Zero-norm vectors have similarity 0 to everything. Similarity ties keep
+    training order (lower index wins); vote ties go to HOF.
+    """
+    unit_q = _unit_rows(np.array(q, dtype=np.float64, ndmin=2))
+    return _knn_vote(unit_q, _unit_rows(np.array(train, dtype=np.float64)), labels, k)[0]
 
 
 # -- feedforward network -----------------------------------------------------
@@ -372,7 +384,7 @@ class _BaselineWrapper:
             self._fitted = ridge_train(x, y, p.get("lambda", 1.0))
         elif self.family == "knn":
             self._featurizer = BowFeaturizer(self.vocab_size, "tfidf").fit(examples)
-            self._train_matrix = self._featurizer.matrix(examples)
+            self._train_matrix = _unit_rows(self._featurizer.matrix(examples))
             self._train_labels = [ex.label for ex in examples]
         elif self.family == "dnn":
             self._featurizer = BowFeaturizer(self.vocab_size, "tfidf").fit(examples)
@@ -397,15 +409,15 @@ class _BaselineWrapper:
         if self.family == "ridge":
             return ridge_predict(self._fitted, self._featurizer.dense(ex))
         if self.family == "knn":
-            return knn_predict(
-                self._featurizer.dense(ex),
-                self._train_matrix,
-                self._train_labels,
-                self.params.get("k", 5),
-            )
+            return self.predict_batch([ex])[0]
         return self._fitted.predict(self._featurizer.dense(ex))
 
     def predict_batch(self, examples: Sequence[EncodedExample]) -> list:
+        if self.family == "knn":
+            queries = _unit_rows(self._featurizer.matrix(examples))
+            return _knn_vote(
+                queries, self._train_matrix, self._train_labels, self.params.get("k", 5)
+            )
         return [self.predict(ex) for ex in examples]
 
 

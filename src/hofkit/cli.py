@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import baselines, cnn, corpus, embedding
 from .metrics import (
@@ -22,6 +23,7 @@ from .metrics import (
     report_to_json,
 )
 from .preprocess import load_suffix_table
+from .seeding import derived_seeds
 
 
 def _load_config(path) -> dict:
@@ -226,13 +228,14 @@ def cmd_cv(args) -> int:
     val_fraction = float(config.get("val_fraction", 0.2))
     scores = []
     lines = ["fold\tmacro_f1"]
-    for fold_i, (train_idx, test_idx) in enumerate(corpus.kfold(len(ds), k, seed)):
-        fold_seed = seed + fold_i
+    partitions = corpus.kfold(len(ds), k, seed)
+    fold_seeds = derived_seeds(seed, "cv-fold", len(partitions))
+    for fold_i, ((train_idx, test_idx), fold_seed) in enumerate(zip(partitions, fold_seeds)):
         inner = corpus.split_train_val(ds.subset(train_idx), val_fraction, fold_seed)
         train_ex = corpus.encode_dataset(inner[0], vocab)
         val_ex = corpus.encode_dataset(inner[1], vocab)
         model = cnn.CnnModel.init(matrix.w_in, model_cfg, fold_seed)
-        cnn.train_model(model, train_ex, val_ex, train_cfg)
+        cnn.train_model(model, train_ex, val_ex, replace(train_cfg, seed=fold_seed))
         test_ex = [encoded[i] for i in test_idx]
         preds = model.predict_batch(test_ex)
         score = macro_f1(preds, [ex.label for ex in test_ex])

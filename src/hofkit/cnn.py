@@ -540,6 +540,32 @@ def save_checkpoint(model: CnnModel, path, vocab_fingerprint: str = "") -> None:
             fh.write(np.ascontiguousarray(model.params[key], dtype="<f4").tobytes())
 
 
+_MANIFEST_KEYS = (
+    "format",
+    "vocab_size",
+    "embed_dim",
+    "filter_counts",
+    "pooled_width",
+    "dense_units",
+    "m_max",
+    "dropout",
+    "vocab_hash",
+)
+
+
+def _manifest_values(manifest: dict, key: str, parse, arity: int) -> tuple:
+    """The comma-separated values of one manifest key; ValueError names a bad key."""
+    try:
+        values = tuple(parse(x) for x in manifest[key].split(","))
+    except ValueError:
+        values = ()
+    if len(values) != arity:
+        raise ValueError(
+            f"checkpoint manifest key {key!r} needs {arity} number(s), got {manifest[key]!r}"
+        )
+    return values
+
+
 def load_checkpoint(path, vocab: Optional[Vocabulary] = None) -> CnnModel:
     """Rebuild a model from a checkpoint; warns if the vocab hash disagrees."""
     with open(path, "rb") as fh:
@@ -555,17 +581,19 @@ def load_checkpoint(path, vocab: Optional[Vocabulary] = None) -> CnnModel:
             manifest[key] = value
         blob = fh.read()
 
-    if manifest.get("format") != CHECKPOINT_MAGIC:
-        raise ValueError(f"unknown checkpoint format {manifest.get('format')!r}")
-    vocab_size = int(manifest["vocab_size"])
-    embed_dim = int(manifest["embed_dim"])
-    counts = tuple(int(x) for x in manifest["filter_counts"].split(","))
-    pooled_width = int(manifest["pooled_width"])
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise ValueError(f"checkpoint manifest lacks key {missing[0]!r}")
+    if manifest["format"] != CHECKPOINT_MAGIC:
+        raise ValueError(f"unknown checkpoint format {manifest['format']!r}")
+    vocab_size, embed_dim, pooled_width, dense_units, m_max = (
+        _manifest_values(manifest, key, int, 1)[0]
+        for key in ("vocab_size", "embed_dim", "pooled_width", "dense_units", "m_max")
+    )
+    counts = _manifest_values(manifest, "filter_counts", int, len(FILTER_HEIGHTS))
     if pooled_width != sum(counts):
         raise ValueError(f"{sum(counts)} expected for pooled width, got {pooled_width}")
-    dense_units = int(manifest["dense_units"])
-    m_max = int(manifest["m_max"])
-    rates = [float(x) for x in manifest["dropout"].split(",")]
+    rates = _manifest_values(manifest, "dropout", float, len(DropoutSpec().as_tuple_named()))
     cfg = CnnConfig(
         embed_dim=embed_dim,
         filter_counts=counts,
@@ -599,7 +627,7 @@ def load_checkpoint(path, vocab: Optional[Vocabulary] = None) -> CnnModel:
         params[key] = arr.reshape(shapes[key]).copy()
         offset += size * 4
 
-    if vocab is not None and manifest.get("vocab_hash"):
+    if vocab is not None and manifest["vocab_hash"]:
         if vocab_hash(vocab) != manifest["vocab_hash"]:
             warnings.warn("checkpoint vocab hash does not match the provided vocabulary")
     return CnnModel(params, cfg)

@@ -67,9 +67,10 @@ _DEVANAGARI_HI = 0x097F
 def html_unescape(text: str) -> str:
     """Decode decimal/hex character references and six common named entities.
 
-    Unknown entities are left verbatim. Decoding repeats until the text is
-    stable, so double-escaped input like ``&amp;#64;`` fully resolves to
-    ``@`` before any placeholder matching runs.
+    Unknown entities and references to code points that cannot be encoded
+    (beyond U+10FFFF, or UTF-16 surrogates U+D800-U+DFFF) are left verbatim.
+    Decoding repeats until the text is stable, so double-escaped input like
+    ``&amp;#64;`` fully resolves to ``@`` before any placeholder matching runs.
     """
 
     def _decode(m: re.Match) -> str:
@@ -77,6 +78,8 @@ def html_unescape(text: str) -> str:
         if body.startswith("#"):
             try:
                 code = int(body[2:], 16) if body[1] in "xX" else int(body[1:])
+                if 0xD800 <= code <= 0xDFFF:
+                    return m.group(0)
                 return chr(code)
             except (ValueError, OverflowError):
                 return m.group(0)

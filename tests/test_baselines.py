@@ -217,6 +217,111 @@ class TestKnn:
         assert knn_predict(q, x, labels, 3) == knn_predict(q * scale, x * scale, labels, 3)
 
 
+def _brute_force_knn(query, train, labels, k, tol=1e-9):
+    """Per-query cosine top-k with every train norm recomputed: the kNN oracle.
+
+    Returns the vote and whether the top-k boundary is a near-tie between rows
+    that are not identical, where last-bit rounding may order either way.
+    Exact ties (duplicate rows, no shared token) are never ambiguous.
+    """
+    qn = np.linalg.norm(query)
+    norms = np.linalg.norm(train, axis=1)
+    sims = np.zeros(train.shape[0])
+    nz = norms > 0
+    if qn > 0:
+        sims[nz] = (train[nz] @ query) / (norms[nz] * qn)
+    order = np.argsort(-sims, kind="stable")
+    votes = sum(1 if labels[int(i)] == 1 else -1 for i in order[:k])
+    ambiguous = False
+    if k < len(order) and sims[order[k - 1]] != 0.0:
+        near = np.flatnonzero(np.abs(sims - sims[order[k - 1]]) <= tol)
+        straddles = bool(np.isin(near, order[k:]).any())
+        ambiguous = straddles and any(not np.array_equal(train[i], train[near[0]]) for i in near)
+    return (1 if votes >= 0 else 0), ambiguous
+
+
+class TestKnnBatched:
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 12),  # distinct train rows
+        st.integers(0, 4),  # duplicated train rows
+        st.integers(0, 3),  # all-zero train rows
+        st.integers(0, 8),  # queries
+        st.integers(0, 3),  # all-zero queries
+        st.integers(1, 24),  # k, often >= N
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_predict_matches_brute_force(
+        self, seed, n_rows, n_dup, n_zero, n_query, n_zero_query, k
+    ):
+        vocab = 9
+        rng = derived_rng(seed, "knn-batched")
+
+        def random_example(label=None):
+            length = int(rng.integers(1, 7))
+            return EncodedExample(tuple(int(t) for t in rng.integers(0, vocab, length)), label)
+
+        def insert_anywhere(rows, ex):
+            rows.insert(int(rng.integers(0, len(rows) + 1)), ex)
+
+        train = [random_example(int(rng.integers(0, 2))) for _ in range(n_rows)]
+        for _ in range(n_dup):
+            insert_anywhere(train, train[int(rng.integers(0, len(train)))])
+        for _ in range(n_zero):
+            insert_anywhere(train, EncodedExample((), int(rng.integers(0, 2))))
+        queries = [random_example() for _ in range(n_query)]
+        for _ in range(n_zero_query):
+            insert_anywhere(queries, EncodedExample(()))
+
+        model = make_baseline("knn", {"k": k}, vocab).fit(train)
+        got = model.predict_batch(queries)
+        assert len(got) == len(queries)
+
+        featurizer = BowFeaturizer(vocab, "tfidf").fit(train)
+        x_train, x_query = featurizer.matrix(train), featurizer.matrix(queries)
+        labels = [ex.label for ex in train]
+        for q, pred in zip(x_query, got):
+            want, ambiguous = _brute_force_knn(q, x_train, labels, k)
+            if not ambiguous:
+                assert pred == want
+        if queries:
+            assert model.predict(queries[0]) == got[0]
+
+    def test_zero_query_takes_first_k_rows(self):
+        train = [EncodedExample((2,), 1), EncodedExample((3,), 0), EncodedExample((4,), 0)]
+        model = make_baseline("knn", {"k": 1}, 6).fit(train)
+        assert model.predict_batch([EncodedExample(()), EncodedExample((3,))]) == [1, 0]
+
+    def test_fit_stores_unit_rows(self):
+        train = [EncodedExample((2, 2, 3), 1), EncodedExample((), 0)]
+        model = make_baseline("knn", {"k": 1}, 6).fit(train)
+        norms = np.linalg.norm(model._train_matrix, axis=1)
+        assert norms[0] == pytest.approx(1.0) and norms[1] == 0.0
+
+    def test_knn_predict_leaves_inputs_untouched(self):
+        x = np.array([[3.0, 4.0], [0.0, 0.0]])
+        q = np.array([6.0, 8.0])
+        knn_predict(q, x, [1, 0], 1)
+        assert x.tolist() == [[3.0, 4.0], [0.0, 0.0]] and q.tolist() == [6.0, 8.0]
+
+    def test_empty_query_batch(self):
+        model = make_baseline("knn", {"k": 3}, 6).fit([EncodedExample((2,), 1)])
+        assert model.predict_batch([]) == []
+
+
+class TestMatrix:
+    def test_matrix_rows_equal_dense(self):
+        docs = [EncodedExample((2, 2, 5)), EncodedExample(()), EncodedExample((3,))]
+        f = BowFeaturizer(6, "tfidf").fit(docs)
+        m = f.matrix(docs)
+        assert m.shape == (3, 6)
+        for row, ex in zip(m, docs):
+            assert np.array_equal(row, f.dense(ex))
+
+    def test_empty_matrix_has_vocab_width(self):
+        assert BowFeaturizer(6, "count").matrix([]).shape == (0, 6)
+
+
 class TestDnn:
     def test_zero_init_gives_uniform_softmax(self):
         model = DnnModel(6, DnnConfig(seed=0))

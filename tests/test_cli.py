@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hofkit import cli, cnn, corpus, embedding
-from hofkit.seeding import derived_rng
+from hofkit.seeding import derived_rng, derived_seeds
 
 
 def write_tsv(path, rows, header="text_id\ttext\ttask_1"):
@@ -81,6 +81,16 @@ class TestPreprocessCmd:
         assert err.startswith("error:")
         assert "line 3" in err
         assert err.count("\n") == 1  # single line
+
+    def test_surrogate_char_ref_does_not_abort_file(self, tmp_path, capsys):
+        data = tmp_path / "in.tsv"
+        write_tsv(data, ["t1\tbad &#55296; ref\tHOF", "t2\tkya baat\tNOT"])
+        out = tmp_path / "out.txt"
+        assert cli.main(["preprocess", str(data), str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        assert lines[1] == "kya baat"
+        assert "error:" not in capsys.readouterr().err
 
     def test_empty_text_gives_empty_line(self, tmp_path):
         data = tmp_path / "in.tsv"
@@ -278,6 +288,56 @@ class TestEvalAndPredictCmds:
         ) == 0
         assert out.read_text(encoding="utf-8") == "id\tlabel\tprobability\n"
 
+    @staticmethod
+    def _rewrite_manifest(ckpt, edit):
+        """Copy of ``ckpt`` whose manifest lines (before ``end``) pass through ``edit``."""
+        raw = ckpt.read_bytes()
+        head, sep, blob = raw.partition(b"\nend\n")
+        lines = edit(head.decode("utf-8").split("\n"))
+        out = ckpt.with_name("edited.ckpt")
+        out.write_bytes("\n".join(lines).encode("utf-8") + sep + blob)
+        return out
+
+    def _predict_fails_with_one_error(self, ckpt, data, vectors, tmp_path, capsys, needle):
+        capsys.readouterr()
+        rc = cli.main(
+            ["predict", str(ckpt), str(data), "--embeddings", str(vectors),
+             "--out", str(tmp_path / "preds.tsv")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+
+    def test_each_missing_manifest_key_is_named(self, tmp_path, capsys):
+        data, vectors, ckpt = self._zero_checkpoint(tmp_path)
+        head = ckpt.read_bytes().partition(b"\nend\n")[0].decode("utf-8").split("\n")
+        keys = [line.partition(" ")[0] for line in head]
+        assert len(keys) == 9
+        for key in keys:
+            edited = self._rewrite_manifest(
+                ckpt, lambda lines, key=key: [ln for ln in lines if ln.partition(" ")[0] != key]
+            )
+            self._predict_fails_with_one_error(edited, data, vectors, tmp_path, capsys, repr(key))
+
+    @pytest.mark.parametrize("value", ["0.5,0.5", "0.5,0.5,0.2,0.2,0.5,0.1", "x,0,0,0,0", ""])
+    def test_bad_dropout_arity_is_named(self, tmp_path, capsys, value):
+        data, vectors, ckpt = self._zero_checkpoint(tmp_path)
+        edited = self._rewrite_manifest(
+            ckpt,
+            lambda lines: [f"dropout {value}" if ln.startswith("dropout ") else ln
+                           for ln in lines],
+        )
+        self._predict_fails_with_one_error(edited, data, vectors, tmp_path, capsys, "'dropout'")
+
+    def test_bad_integer_key_is_named(self, tmp_path, capsys):
+        data, vectors, ckpt = self._zero_checkpoint(tmp_path)
+        edited = self._rewrite_manifest(
+            ckpt,
+            lambda lines: ["m_max sixteen" if ln.startswith("m_max ") else ln for ln in lines],
+        )
+        self._predict_fails_with_one_error(edited, data, vectors, tmp_path, capsys, "'m_max'")
+
     def test_row_count_preserved(self, tmp_path):
         data, vectors, ckpt = self._zero_checkpoint(tmp_path)
         out = tmp_path / "preds.tsv"
@@ -339,6 +399,23 @@ class TestCvCmd:
         t1 = self._run(tmp_path / "x")
         t2 = self._run(tmp_path / "y")
         assert t1 == t2
+
+    def test_adjacent_seeds_draw_disjoint_fold_seeds(self, tmp_path, monkeypatch):
+        # record each fold's training seed; skipping the training keeps this fast
+        seen = []
+        monkeypatch.setattr(cnn, "train_model", lambda model, tr, va, cfg: seen.append(cfg.seed))
+        self._run(tmp_path / "s7", seed=7)
+        self._run(tmp_path / "s8", seed=8)
+        seven, eight = seen[:10], seen[10:]
+        assert len(set(seven)) == 10 and len(set(eight)) == 10
+        assert set(seven).isdisjoint(eight)
+        assert seven == derived_seeds(7, "cv-fold", 10)
+
+    def test_fold_seed_streams_of_adjacent_seeds_never_collide(self):
+        streams = [derived_seeds(seed, "cv-fold", 10) for seed in range(50)]
+        for a, b in zip(streams, streams[1:]):
+            assert len(set(a)) == 10
+            assert set(a).isdisjoint(b)
 
     def test_too_few_examples_errors(self, tmp_path, capsys):
         data = make_labelled_tsv(tmp_path / "small.tsv", n=6)

@@ -72,6 +72,15 @@ class TestHtmlUnescape:
     def test_double_escape_fully_resolves(self):
         assert pp.html_unescape("&amp;#64;") == "@"
 
+    @pytest.mark.parametrize("ref", ["&#55296;", "&#xD800;", "&#57343;", "&#xdfff;"])
+    def test_surrogate_reference_left_verbatim(self, ref):
+        out = pp.html_unescape(f"a{ref}b")
+        assert out == f"a{ref}b"
+        out.encode("utf-8")  # no lone surrogate survives
+
+    def test_neighbours_of_surrogate_range_decode(self):
+        assert pp.html_unescape("&#xD7FF;&#xE000;") == "\ud7ff\ue000"
+
 
 class TestStemHindi:
     def test_longest_suffix_stripped(self):
