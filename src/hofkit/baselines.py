@@ -20,7 +20,6 @@ from .seeding import derived_rng
 
 __all__ = [
     "BowFeaturizer",
-    "featurize",
     "MnbModel",
     "mnb_train",
     "mnb_predict",
@@ -58,36 +57,20 @@ class BowFeaturizer:
         self.idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
         return self
 
-    def vector(self, ex: EncodedExample) -> dict:
-        """Sparse token-id -> weight map."""
-        counts: dict = {}
-        for wid in ex.ids:
-            counts[wid] = counts.get(wid, 0.0) + 1.0
-        if self.scheme == "tfidf":
-            if self.idf is None:
-                raise RuntimeError("featurizer must be fit before tfidf transform")
-            return {wid: c * self.idf[wid] for wid, c in counts.items()}
-        return counts
-
-    def _fill(self, row: np.ndarray, ex: EncodedExample) -> None:
-        for wid, val in self.vector(ex).items():
-            row[wid] = val
-
-    def dense(self, ex: EncodedExample) -> np.ndarray:
-        out = np.zeros(self.vocab_size, dtype=np.float64)
-        self._fill(out, ex)
-        return out
-
     def matrix(self, examples: Sequence[EncodedExample]) -> np.ndarray:
+        """(N, V) bag-of-words matrix: token counts, times idf under tfidf."""
+        if self.scheme == "tfidf" and self.idf is None:
+            raise RuntimeError("featurizer must be fit before tfidf transform")
         out = np.zeros((len(examples), self.vocab_size), dtype=np.float64)
-        for row, ex in zip(out, examples):
-            self._fill(row, ex)
+        lengths = [len(ex.ids) for ex in examples]
+        rows = np.repeat(np.arange(len(examples)), lengths)
+        cols = np.fromiter(
+            itertools.chain.from_iterable(ex.ids for ex in examples), np.intp, sum(lengths)
+        )
+        np.add.at(out, (rows, cols), 1.0)
+        if self.scheme == "tfidf":
+            out *= self.idf
         return out
-
-
-def featurize(ex: EncodedExample, featurizer: BowFeaturizer) -> dict:
-    """Sparse bag-of-words vector for one example under a fitted featurizer."""
-    return featurizer.vector(ex)
 
 
 # -- multinomial naive Bayes -------------------------------------------------
@@ -119,13 +102,14 @@ def mnb_train(
     return MnbModel(log_prior, log_lik, alpha)
 
 
-def mnb_predict(model: MnbModel, bow: dict) -> tuple:
-    """Class plus log-posteriors (up to the shared evidence constant)."""
-    scores = model.log_prior.copy()
-    for wid, cnt in bow.items():
-        scores += cnt * model.log_lik[:, wid]
-    label = HOF if scores[HOF] >= scores[NOT] else NOT
-    return label, scores
+def mnb_predict(model: MnbModel, x: np.ndarray) -> tuple:
+    """Classes plus log-posteriors (up to the shared evidence constant).
+
+    ``x`` is one count row (V,) or a count matrix (N, V); scores are (2,) or
+    (N, 2), indexed by label.
+    """
+    scores = x @ model.log_lik.T + model.log_prior
+    return np.where(scores[..., HOF] >= scores[..., NOT], HOF, NOT), scores
 
 
 # -- ridge classifier --------------------------------------------------------
@@ -186,9 +170,9 @@ def ridge_train(x: np.ndarray, y: np.ndarray, lam: float) -> RidgeModel:
     return RidgeModel(w[:-1], float(w[-1]), lam)
 
 
-def ridge_predict(model: RidgeModel, x: np.ndarray) -> int:
-    score = float(x @ model.w) + model.b
-    return HOF if score >= 0.0 else NOT
+def ridge_predict(model: RidgeModel, x: np.ndarray) -> np.ndarray:
+    """Class of one feature row (V,) or of each row of a matrix (N, V)."""
+    return np.where(x @ model.w + model.b >= 0.0, HOF, NOT)
 
 
 # -- k-nearest neighbours ----------------------------------------------------
@@ -278,6 +262,7 @@ class DnnModel:
         return masks
 
     def _forward(self, x: np.ndarray, masks: Optional[dict]):
+        """Forward pass over rows of ``x``; ``masks`` maps a site to (B, width)."""
         acts = []  # post-dropout activation feeding each layer
         zs = []
         a = x * masks[0] if masks is not None else x
@@ -290,53 +275,44 @@ class DnnModel:
                 if masks is not None and (i + 1) in masks:
                     a = a * masks[i + 1]
         z_out = zs[-1]
-        shifted = z_out - z_out.max()
-        exp = np.exp(shifted)
-        probs = exp / exp.sum()
+        exp = np.exp(z_out - z_out.max(axis=-1, keepdims=True))
+        probs = exp / exp.sum(axis=-1, keepdims=True)
         return acts, zs, probs
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return self._forward(x, None)[2]
 
-    def predict(self, x: np.ndarray) -> int:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         probs = self.predict_proba(x)
-        return HOF if probs[HOF] >= probs[NOT] else NOT
+        return np.where(probs[..., HOF] >= probs[..., NOT], HOF, NOT)
 
     def batch_loss(self, xs: np.ndarray, ys: Sequence[int], masks_list=None) -> float:
-        total = 0.0
-        for i in range(xs.shape[0]):
-            masks = masks_list[i] if masks_list is not None else None
-            probs = self._forward(xs[i], masks)[2]
-            total += -np.log(max(probs[ys[i]], 1e-12))
-        return total / xs.shape[0]
+        probs = self._forward(xs, _stack_masks(masks_list))[2]
+        return _mean_nll(probs, ys)
 
     def batch_loss_grads(self, xs: np.ndarray, ys: Sequence[int], masks_list=None):
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        total = 0.0
-        for i in range(xs.shape[0]):
-            masks = masks_list[i] if masks_list is not None else None
-            acts, zs, probs = self._forward(xs[i], masks)
-            total += -np.log(max(probs[ys[i]], 1e-12))
-            delta = probs.copy()
-            delta[ys[i]] -= 1.0  # d(cross-entropy)/d(output logits)
-            for layer in range(self.n_layers - 1, -1, -1):
-                grads[f"w{layer}"] += np.outer(acts[layer], delta)
-                grads[f"b{layer}"] += delta
-                if layer == 0:
-                    break
-                da = self.params[f"w{layer}"] @ delta
-                if masks is not None and layer in masks:
-                    da = da * masks[layer]
-                delta = da * (zs[layer - 1] > 0)
+        masks = _stack_masks(masks_list)
+        acts, zs, probs = self._forward(xs, masks)
+        delta = probs.copy()
+        delta[np.arange(len(ys)), ys] -= 1.0  # d(cross-entropy)/d(output logits)
         inv = 1.0 / xs.shape[0]
-        for k in grads:
-            grads[k] *= inv
-        return total / xs.shape[0], grads
+        grads = {}
+        for layer in range(self.n_layers - 1, -1, -1):
+            grads[f"w{layer}"] = (acts[layer].T @ delta) * inv
+            grads[f"b{layer}"] = delta.sum(axis=0) * inv
+            if layer == 0:
+                break
+            da = delta @ self.params[f"w{layer}"].T
+            if masks is not None and layer in masks:
+                da = da * masks[layer]
+            delta = da * (zs[layer - 1] > 0)
+        return _mean_nll(probs, ys), grads
 
     def fit(self, xs: np.ndarray, ys: Sequence[int]) -> list:
         cfg = self.cfg
         shuffle_rng = derived_rng(cfg.seed, "dnn-shuffle")
         mask_rng = derived_rng(cfg.seed, "dnn-dropout")
+        ys = np.asarray(ys)
         n = xs.shape[0]
         losses = []
         for epoch in range(cfg.epochs):
@@ -344,10 +320,8 @@ class DnnModel:
             running = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                batch_x = xs[idx]
-                batch_y = [ys[int(i)] for i in idx]
                 masks_list = [self.make_masks(mask_rng) for _ in idx]
-                loss, grads = self.batch_loss_grads(batch_x, batch_y, masks_list)
+                loss, grads = self.batch_loss_grads(xs[idx], ys[idx], masks_list)
                 if not np.isfinite(loss):
                     raise RuntimeError(f"DNN diverged: non-finite loss at epoch {epoch}")
                 for k in self.params:
@@ -357,68 +331,67 @@ class DnnModel:
         return losses
 
 
+def _stack_masks(masks_list) -> Optional[dict]:
+    """Per-example {site: mask} dicts -> one {site: (B, width)} dict."""
+    if masks_list is None:
+        return None
+    return {site: np.stack([m[site] for m in masks_list]) for site in masks_list[0]}
+
+
+def _mean_nll(probs: np.ndarray, ys: Sequence[int]) -> float:
+    picked = probs[np.arange(len(ys)), ys]
+    return float(-np.log(np.maximum(picked, 1e-12)).sum() / len(ys))
+
+
 # -- uniform wrapper + grid search -------------------------------------------
 
 
 class _BaselineWrapper:
-    """fit/predict facade over a baseline family for grid search and the CLI."""
+    """fit/predict facade over a baseline family for grid search and the CLI.
+
+    Each fit and each predict_batch featurizes its examples into one matrix.
+    """
 
     def __init__(self, family: str, params: dict, vocab_size: int):
         self.family = family
         self.params = dict(params)
         self.vocab_size = vocab_size
+        self._featurizer = BowFeaturizer(vocab_size, "count" if family == "mnb" else "tfidf")
         self._fitted = None
-        self._featurizer = None
-        self._train_matrix = None
-        self._train_labels = None
 
     def fit(self, examples: Sequence[EncodedExample]) -> "_BaselineWrapper":
         p = self.params
+        labels = [ex.label for ex in examples]
         if self.family == "mnb":
-            self._featurizer = BowFeaturizer(self.vocab_size, "count")
             self._fitted = mnb_train(examples, self.vocab_size, p.get("alpha", 1.0))
-        elif self.family == "ridge":
-            self._featurizer = BowFeaturizer(self.vocab_size, "tfidf").fit(examples)
-            x = self._featurizer.matrix(examples)
-            y = np.array([1.0 if ex.label == HOF else -1.0 for ex in examples])
+            return self
+        x = self._featurizer.fit(examples).matrix(examples)
+        if self.family == "ridge":
+            y = np.where(np.asarray(labels) == HOF, 1.0, -1.0)
             self._fitted = ridge_train(x, y, p.get("lambda", 1.0))
         elif self.family == "knn":
-            self._featurizer = BowFeaturizer(self.vocab_size, "tfidf").fit(examples)
-            self._train_matrix = _unit_rows(self._featurizer.matrix(examples))
-            self._train_labels = [ex.label for ex in examples]
-        elif self.family == "dnn":
-            self._featurizer = BowFeaturizer(self.vocab_size, "tfidf").fit(examples)
+            self._fitted = (_unit_rows(x), labels)
+        else:
             cfg = DnnConfig(
                 lr=p.get("lr", 0.04),
                 epochs=p.get("epochs", 200),
                 batch_size=p.get("batch_size", 32),
                 seed=p.get("seed", 0),
             )
-            model = DnnModel(self.vocab_size, cfg)
-            model.fit(
-                self._featurizer.matrix(examples), [ex.label for ex in examples]
-            )
-            self._fitted = model
-        else:
-            raise ValueError(f"unknown baseline family {self.family!r}")
+            self._fitted = DnnModel(self.vocab_size, cfg)
+            self._fitted.fit(x, labels)
         return self
 
-    def predict(self, ex: EncodedExample) -> int:
-        if self.family == "mnb":
-            return mnb_predict(self._fitted, self._featurizer.vector(ex))[0]
-        if self.family == "ridge":
-            return ridge_predict(self._fitted, self._featurizer.dense(ex))
-        if self.family == "knn":
-            return self.predict_batch([ex])[0]
-        return self._fitted.predict(self._featurizer.dense(ex))
-
     def predict_batch(self, examples: Sequence[EncodedExample]) -> list:
+        x = self._featurizer.matrix(examples)
+        if self.family == "mnb":
+            return mnb_predict(self._fitted, x)[0].tolist()
+        if self.family == "ridge":
+            return ridge_predict(self._fitted, x).tolist()
         if self.family == "knn":
-            queries = _unit_rows(self._featurizer.matrix(examples))
-            return _knn_vote(
-                queries, self._train_matrix, self._train_labels, self.params.get("k", 5)
-            )
-        return [self.predict(ex) for ex in examples]
+            train, labels = self._fitted
+            return _knn_vote(_unit_rows(x), train, labels, self.params.get("k", 5))
+        return self._fitted.predict(x).tolist()
 
 
 BASELINE_FAMILIES = ("mnb", "ridge", "knn", "dnn")
@@ -438,12 +411,17 @@ def make_baseline(family: str, params: dict, vocab_size: int) -> _BaselineWrappe
 
 
 def expand_grid(grid) -> list:
-    """dict-of-lists -> list of parameter dicts, in key/value declaration order."""
-    if isinstance(grid, list):
+    """dict-of-lists or list-of-dicts -> list of parameter dicts, in declaration order."""
+    if isinstance(grid, list) and all(isinstance(g, dict) for g in grid):
         return [dict(g) for g in grid]
-    keys = list(grid)
-    combos = itertools.product(*(grid[k] for k in keys))
-    return [dict(zip(keys, combo)) for combo in combos]
+    if isinstance(grid, dict) and all(isinstance(v, list) for v in grid.values()):
+        keys = list(grid)
+        combos = itertools.product(*(grid[k] for k in keys))
+        return [dict(zip(keys, combo)) for combo in combos]
+    raise ValueError(
+        'grid must be a dict of value lists, e.g. {"alpha": [0.5, 1.0]}, '
+        'or a list of parameter dicts, e.g. [{"alpha": 0.5}]'
+    )
 
 
 @dataclass

@@ -26,11 +26,51 @@ from .preprocess import load_suffix_table
 from .seeding import derived_seeds
 
 
+# Config keys the commands read as numbers, per section ("" is the top level).
+_NUMERIC_KEYS = {
+    "": ("seed", "val_fraction", "folds"),
+    "model": ("embed_dim", "filter_counts", "dense_units", "m_max"),
+    "dropout": ("input", "bank3", "bank4", "bank5", "dense"),
+    "train": ("epochs", "batch_size", "lr", "beta1", "beta2", "eps", "patience"),
+    "embedding": ("dim", "window", "min_count", "epochs", "negatives", "initial_lr"),
+}
+
+
 def _load_config(path) -> dict:
+    """Read a JSON config: an object whose sections are objects of numbers.
+
+    ``model.filter_counts`` holds a list of numbers.
+    """
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path}: top level must be a JSON object")
+    for section, keys in _NUMERIC_KEYS.items():
+        values = config.get(section, {}) if section else config
+        if not isinstance(values, dict):
+            raise ValueError(f"config {path}: section {section!r} must be a JSON object")
+        for key in keys:
+            if key not in values:
+                continue
+            value = values[key]
+            if key == "filter_counts":
+                ok = isinstance(value, list) and all(map(_is_scalar, value))
+            else:
+                ok = _is_scalar(value)
+            if not ok:
+                name = f"{section}.{key}" if section else key
+                expected = "a list of numbers" if key == "filter_counts" else "a number"
+                raise ValueError(
+                    f"config {path}: {name} must be {expected}, got {json.dumps(value)}"
+                )
+    return config
+
+
+def _is_scalar(value) -> bool:
+    """Not null, list or object: ``int``/``float`` either accept it or raise ValueError."""
+    return value is not None and not isinstance(value, (list, dict))
 
 
 def _require_seed(args, config) -> int:

@@ -54,13 +54,6 @@ class Example:
 class Dataset:
     examples: list[Example] = field(default_factory=list)
 
-    def __post_init__(self):
-        seen = set()
-        for ex in self.examples:
-            if ex.tweet_id in seen:
-                raise CorpusError(f"duplicate id {ex.tweet_id!r}")
-            seen.add(ex.tweet_id)
-
     def __len__(self) -> int:
         return len(self.examples)
 

@@ -234,21 +234,19 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 def nearest(word: str, vocab: Vocabulary, matrix: EmbeddingMatrix, k: int) -> list:
     """Top-k neighbours of a word by cosine over the input vectors.
 
-    The query itself is excluded; exact ties are broken by vocabulary id.
+    The query itself is excluded; exact ties are broken by vocabulary id. A
+    zero vector (such as the reserved rows ``load_text`` prepends) scores 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if word not in vocab:
         raise ValueError(f"query word {word!r} is not in the vocabulary")
     qid = vocab.word_to_id[word]
-    q = matrix.w_in[qid]
-    scored = []
-    for wid in range(len(vocab)):
-        if wid == qid:
-            continue
-        scored.append((-cosine(q, matrix.w_in[wid]), wid))
-    scored.sort()
-    return [(vocab.word_of(wid), -negsim) for negsim, wid in scored[:k]]
+    norms = np.linalg.norm(matrix.w_in, axis=1)
+    unit = matrix.w_in / np.where(norms > 0.0, norms, 1.0)[:, None]
+    sims = np.clip(unit @ unit[qid], -1.0, 1.0)
+    order = np.argsort(-sims, kind="stable")
+    return [(vocab.word_of(int(wid)), float(sims[wid])) for wid in order[order != qid][:k]]
 
 
 def save_text(matrix: EmbeddingMatrix, vocab: Vocabulary, path) -> None:

@@ -11,7 +11,6 @@ from hofkit.baselines import (
     DnnConfig,
     DnnModel,
     expand_grid,
-    featurize,
     grid_search,
     knn_predict,
     make_baseline,
@@ -29,18 +28,18 @@ from gradcheck import finite_difference, group_relative_error
 class TestFeaturize:
     def test_counts(self):
         f = BowFeaturizer(6, "count")
-        assert featurize(EncodedExample((2, 2, 3)), f) == {2: 2.0, 3: 1.0}
+        assert f.matrix([EncodedExample((2, 2, 3))]).tolist() == [[0.0, 0.0, 2.0, 1.0, 0.0, 0.0]]
 
     def test_empty(self):
         f = BowFeaturizer(6, "count")
-        assert featurize(EncodedExample(()), f) == {}
+        assert not f.matrix([EncodedExample(())]).any()
 
     def test_token_in_every_doc_has_idf_one(self):
         docs = [EncodedExample((2, 3)), EncodedExample((2,)), EncodedExample((2, 4))]
         f = BowFeaturizer(6, "tfidf").fit(docs)
         # df == N: idf = ln((1+N)/(1+N)) + 1 = 1
         assert f.idf[2] == pytest.approx(1.0)
-        assert featurize(EncodedExample((2, 2)), f)[2] == pytest.approx(2.0)
+        assert f.matrix([EncodedExample((2, 2))])[0, 2] == pytest.approx(2.0)
 
     def test_rare_token_weighted_up(self):
         docs = [EncodedExample((2,))] * 9 + [EncodedExample((3,))]
@@ -49,7 +48,7 @@ class TestFeaturize:
 
     def test_unfit_tfidf_rejected(self):
         with pytest.raises(RuntimeError):
-            BowFeaturizer(6, "tfidf").vector(EncodedExample((2,)))
+            BowFeaturizer(6, "tfidf").matrix([EncodedExample((2,))])
 
 
 class TestMnb:
@@ -58,7 +57,7 @@ class TestMnb:
         # p(x|HOF) = (1+1)/(1+4) = 0.4, p(x|NOT) = (0+1)/(1+4) = 0.2
         train = [EncodedExample((2,), 1), EncodedExample((3,), 0)]
         model = mnb_train(train, 4, alpha=1.0)
-        label, scores = mnb_predict(model, {2: 1.0})
+        label, scores = mnb_predict(model, np.array([0.0, 0.0, 1.0, 0.0]))
         assert label == 1
         assert scores[1] == pytest.approx(math.log(0.5) + math.log(0.4))
         assert scores[0] == pytest.approx(math.log(0.5) + math.log(0.2))
@@ -67,14 +66,14 @@ class TestMnb:
         train = [EncodedExample((2,), 1), EncodedExample((3,), 0)]
         model = mnb_train(train, 4, alpha=1.0)
         # token 4 is unseen in both classes: symmetric evidence, equal priors
-        label, scores = mnb_predict(model, {})
+        label, scores = mnb_predict(model, np.zeros(4))
         assert scores[0] == pytest.approx(scores[1])
         assert label == 1
 
     def test_unseen_token_is_smoothed(self):
         train = [EncodedExample((2,), 1), EncodedExample((3,), 0)]
         model = mnb_train(train, 5, alpha=1.0)
-        label, scores = mnb_predict(model, {4: 3.0})
+        label, scores = mnb_predict(model, np.array([0.0, 0.0, 0.0, 0.0, 3.0]))
         assert np.isfinite(scores).all()
 
     def test_likelihoods_sum_to_one(self):
@@ -105,8 +104,10 @@ class TestMnb:
         ]
         model = mnb_train(train, 12, alpha=1.0)
         bow = {int(k): float(v) for k, v in zip(rng.integers(0, 12, 4), rng.integers(1, 5, 4))}
-        base = mnb_predict(model, bow)[0]
-        scaled = mnb_predict(model, {k: v * scale for k, v in bow.items()})[0]
+        x = np.zeros(12)
+        x[list(bow)] = list(bow.values())
+        base = mnb_predict(model, x)[0]
+        scaled = mnb_predict(model, x * scale)[0]
         assert base == scaled
 
 
@@ -285,7 +286,7 @@ class TestKnnBatched:
             if not ambiguous:
                 assert pred == want
         if queries:
-            assert model.predict(queries[0]) == got[0]
+            assert model.predict_batch(queries[:1]) == got[:1]
 
     def test_zero_query_takes_first_k_rows(self):
         train = [EncodedExample((2,), 1), EncodedExample((3,), 0), EncodedExample((4,), 0)]
@@ -295,7 +296,7 @@ class TestKnnBatched:
     def test_fit_stores_unit_rows(self):
         train = [EncodedExample((2, 2, 3), 1), EncodedExample((), 0)]
         model = make_baseline("knn", {"k": 1}, 6).fit(train)
-        norms = np.linalg.norm(model._train_matrix, axis=1)
+        norms = np.linalg.norm(model._fitted[0], axis=1)
         assert norms[0] == pytest.approx(1.0) and norms[1] == 0.0
 
     def test_knn_predict_leaves_inputs_untouched(self):
@@ -309,6 +310,79 @@ class TestKnnBatched:
         assert model.predict_batch([]) == []
 
 
+def _dense_row(ex, featurizer):
+    """One example's bag-of-words row, token by token: the featurizer oracle."""
+    counts = {}
+    for wid in ex.ids:
+        counts[wid] = counts.get(wid, 0.0) + 1.0
+    row = np.zeros(featurizer.vocab_size)
+    for wid, c in counts.items():
+        row[wid] = c * featurizer.idf[wid] if featurizer.scheme == "tfidf" else c
+    return row
+
+
+def _mnb_row_oracle(model, row):
+    """Per-row, per-token MNB decision; also whether it is a near tie.
+
+    An empty row scores the priors exactly on every path, so it is never
+    exempt: its ties must go to HOF.
+    """
+    scores = model.log_prior.copy()
+    for wid in np.flatnonzero(row):
+        scores += row[wid] * model.log_lik[:, wid]
+    margin = scores[1] - scores[0]
+    near = abs(margin) <= 1e-9 * max(1.0, float(np.abs(scores).max()))
+    return (1 if margin >= 0 else 0), near and row.any()
+
+
+def _ridge_row_oracle(model, row):
+    """Per-row, per-feature ridge decision; also whether it is a near tie."""
+    score = model.b
+    for wid in np.flatnonzero(row):
+        score += row[wid] * model.w[wid]
+    return (1 if score >= 0 else 0), abs(score) <= 1e-9 and row.any()
+
+
+class TestMatrixPredict:
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(2, 16),  # train rows
+        st.integers(0, 10),  # query rows
+        st.integers(0, 3),  # empty queries
+        st.integers(3, 12),  # vocabulary size
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_predict_matches_row_loop(self, seed, n_train, n_query, n_empty, vocab):
+        rng = derived_rng(seed, "matrix-predict")
+
+        def random_example(label=None):
+            length = int(rng.integers(1, 7))
+            return EncodedExample(tuple(int(t) for t in rng.integers(0, vocab, length)), label)
+
+        train = [random_example(i % 2) for i in range(n_train)]  # both classes
+        queries = [random_example() for _ in range(n_query)] + [EncodedExample(())] * n_empty
+
+        counts = BowFeaturizer(vocab, "count").matrix(queries)
+        mnb = mnb_train(train, vocab, alpha=float(rng.uniform(0.1, 2.0)))
+        labels, scores = mnb_predict(mnb, counts)
+        assert labels.shape == (len(queries),) and scores.shape == (len(queries), 2)
+        for i, row in enumerate(counts):
+            want, near = _mnb_row_oracle(mnb, row)
+            if not near:
+                assert labels[i] == want == mnb_predict(mnb, row)[0]
+
+        featurizer = BowFeaturizer(vocab, "tfidf").fit(train)
+        y = np.array([1.0 if ex.label == 1 else -1.0 for ex in train])
+        ridge = ridge_train(featurizer.matrix(train), y, lam=float(rng.uniform(0.1, 5.0)))
+        x = featurizer.matrix(queries)
+        labels = ridge_predict(ridge, x)
+        assert labels.shape == (len(queries),)
+        for i, row in enumerate(x):
+            want, near = _ridge_row_oracle(ridge, row)
+            if not near:
+                assert labels[i] == want == ridge_predict(ridge, row)
+
+
 class TestMatrix:
     def test_matrix_rows_equal_dense(self):
         docs = [EncodedExample((2, 2, 5)), EncodedExample(()), EncodedExample((3,))]
@@ -316,7 +390,7 @@ class TestMatrix:
         m = f.matrix(docs)
         assert m.shape == (3, 6)
         for row, ex in zip(m, docs):
-            assert np.array_equal(row, f.dense(ex))
+            assert np.array_equal(row, _dense_row(ex, f))
 
     def test_empty_matrix_has_vocab_width(self):
         assert BowFeaturizer(6, "count").matrix([]).shape == (0, 6)

@@ -200,6 +200,34 @@ class TestTrainCmd:
         assert rc == 1
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "config, needle",
+        [
+            ([], "top level must be a JSON object"),
+            ({"model": 5}, "section 'model' must be a JSON object"),
+            ({"train": {"epochs": None}}, "train.epochs must be a number, got null"),
+            ({"model": {"filter_counts": 5}}, "model.filter_counts must be a list of numbers"),
+        ],
+        ids=["top-level-list", "section-not-object", "null-number", "filter-counts-not-list"],
+    )
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, config, needle):
+        data = make_labelled_tsv(tmp_path / "train.tsv")
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("2 2\naccha 0.1 0.2\nbura 0.3 0.4\n", encoding="utf-8")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        rc = cli.main(
+            ["train", "--config", str(path), "--data", str(data), "--embeddings", str(vectors),
+             "--out", str(tmp_path / "model.ckpt"), "--seed", "1"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+
 class TestEvalAndPredictCmds:
     def test_eval_prints_table_and_json(self, tmp_path, capsys):
         data, vectors, config, ckpt, _ = run_pipeline(tmp_path)
@@ -458,3 +486,17 @@ class TestBaselineCmd:
              "--min-count", "1", "--seed", "4", "--out", str(tmp_path / "t.tsv")]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize("grid", [{"alpha": 1.0}, [1, 2]], ids=["scalar-values", "list-of-numbers"])
+    def test_malformed_grid_is_one_error_line(self, tmp_path, capsys, grid):
+        data = make_labelled_tsv(tmp_path / "train.tsv", n=30)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        rc = cli.main(
+            ["baseline", "--model", "mnb", "--data", str(data), "--grid", str(path),
+             "--folds", "5", "--min-count", "1", "--seed", "4"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "dict of value lists" in err

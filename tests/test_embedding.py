@@ -214,6 +214,17 @@ class TestNearest:
         assert [w for w, _ in result] == ["xxunk", "a"]
 
 
+    def test_zero_rows_of_a_file_without_reserved_words_score_zero(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("3 2\na 1.0 0.0\nb 1.0 0.1\nc -1.0 0.0\n", encoding="utf-8")
+        m, vocab = load_text(path)
+        assert vocab.words[:2] == ["xxpad", "xxunk"] and not m.w_in[:2].any()
+        result = nearest("a", vocab, m, 4)
+        assert [w for w, _ in result] == ["b", "xxpad", "xxunk", "c"]
+        assert result[0][1] == pytest.approx(1.0 / np.sqrt(1.01))
+        assert [sim for _, sim in result[1:]] == [0.0, 0.0, -1.0]
+
+
 class TestTextFormat:
     def test_roundtrip_within_tolerance(self, tmp_path):
         streams, _ = two_clique_corpus(50, seed=1)
