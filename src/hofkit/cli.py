@@ -143,7 +143,7 @@ def _model_config_from(config: dict, embed_dim: int) -> cnn.CnnConfig:
     )
     return cnn.CnnConfig(
         embed_dim=embed_dim,
-        filter_counts=tuple(model_cfg.get("filter_counts", (256, 256, 512))),
+        filter_counts=tuple(int(c) for c in model_cfg.get("filter_counts", (256, 256, 512))),
         dense_units=int(model_cfg.get("dense_units", 256)),
         m_max=int(model_cfg.get("m_max", 64)),
         dropout=dropout,
@@ -238,10 +238,10 @@ def cmd_predict(args) -> int:
     config = _load_config(args.config)
     model, vocab = _load_model_and_vocab(args)
     ds = corpus.load_tsv(args.data, _suffix_table(args, config))
+    probs = model.predict_proba([ex.ids for ex in corpus.encode_dataset(ds, vocab)])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("id\tlabel\tprobability\n")
-        for ex in ds:
-            p = model.forward(corpus.encode(ex.tokens, vocab).ids)
+        for ex, p in zip(ds, probs):
             label = corpus.ID_TO_LABEL[1 if p >= 0.5 else 0]
             fh.write(f"{ex.tweet_id}\t{label}\t{p:.6f}\n")
     print(f"wrote {len(ds)} predictions to {args.out}")

@@ -10,9 +10,10 @@ Adam on mean-batch binary cross-entropy. Dropout is inverted (survivors
 scaled by 1/keep) at four sites: input word rows, pooled features of each
 bank, and dense activations.
 
-Inference never mutates the model and is safe to run concurrently; training
-is single-writer. Per-example gradients are reduced in example order, so a
-fixed seed reproduces runs bitwise.
+Each batch runs as one packed pass over its padded tweets stacked end to end;
+gradients are reduced over the batch in a fixed order, so a fixed seed
+reproduces runs bitwise. Inference never mutates the model and is safe to
+run concurrently; training is single-writer.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ from .seeding import derived_rng
 __all__ = [
     "FILTER_HEIGHTS",
     "M_MIN",
+    "INFER_BATCH",
     "DropoutSpec",
     "CnnConfig",
     "TrainConfig",
     "CnnModel",
     "Adam",
-    "embed_and_pad",
-    "conv_feature",
-    "max_pool",
     "bce_loss",
     "train_model",
     "save_checkpoint",
@@ -49,6 +48,7 @@ __all__ = [
 FILTER_HEIGHTS = (3, 4, 5)
 M_MIN = 5  # sequences are padded so the tallest filter always fits
 PROB_CLAMP = 1e-7
+INFER_BATCH = 32  # tweets per packed inference pass; bounds the window matrices
 
 PARAM_ORDER = (
     "emb",
@@ -138,12 +138,6 @@ class TrainConfig:
             raise ValueError("patience must be >= 0")
 
 
-def embed_and_pad(ids: Sequence[int], emb: np.ndarray, m_max: int) -> np.ndarray:
-    """Look up embedding rows, truncate at m_max, right-pad with the zero row to >= 5."""
-    padded = _pad_ids(ids, m_max)
-    return emb[padded]
-
-
 def _pad_ids(ids: Sequence[int], m_max: int) -> np.ndarray:
     ids = list(ids)[:m_max]
     m = max(len(ids), M_MIN)
@@ -152,44 +146,10 @@ def _pad_ids(ids: Sequence[int], m_max: int) -> np.ndarray:
     return out
 
 
-def conv_feature(weights: np.ndarray, bias: float, t: np.ndarray, k: int) -> float:
-    """ReLU(filter . slice + bias) for the slice starting at row k (0-based, stride 1)."""
-    h = weights.shape[0]
-    if not 0 <= k <= t.shape[0] - h:
-        raise ValueError(f"slice start {k} out of range for m={t.shape[0]}, h={h}")
-    return float(max(0.0, float(np.sum(weights * t[k : k + h])) + float(bias)))
-
-
-def max_pool(features: Sequence[float]) -> tuple:
-    """Maximum feature and its position; ties go to the first position."""
-    if len(features) == 0:
-        raise ValueError("max_pool needs at least one feature")
-    arr = np.asarray(features)
-    k = int(np.argmax(arr))  # np.argmax returns the first maximal index
-    return float(arr[k]), k
-
-
-def bce_loss(p: float, y: int) -> float:
-    """Binary cross-entropy with the probability clamped away from 0 and 1."""
-    pc = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+def bce_loss(p, y):
+    """Elementwise binary cross-entropy, with p clamped away from 0 and 1."""
+    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
-
-
-class _Cache:
-    """Forward-pass intermediates needed by backward."""
-
-    __slots__ = (
-        "padded_ids",
-        "x_tilde",
-        "slices",
-        "z",
-        "argmax",
-        "pooled_scaled",
-        "zd",
-        "a_tilde",
-        "prob",
-        "masks",
-    )
 
 
 class CnnModel:
@@ -285,65 +245,73 @@ class CnnModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _forward_cached(self, ids: Sequence[int], masks: Optional[dict]) -> _Cache:
+    def _forward(self, id_lists: Sequence, masks: Optional[Sequence] = None) -> tuple:
+        """P(HOF) per tweet (float64) and the intermediates backward needs.
+
+        ``masks`` holds one ``make_masks`` dict per tweet, or None for inference.
+        """
         p, cfg = self.params, self.cfg
-        c = _Cache()
-        c.masks = masks
-        c.padded_ids = _pad_ids(ids, cfg.m_max)
-        x = p["emb"][c.padded_ids]
+        n = cfg.embed_dim
+        padded = [_pad_ids(ids, cfg.m_max) for ids in id_lists]
+        lengths = np.array([len(t) for t in padded])
+        ids = np.concatenate(padded)  # no padding to a common length
+        # rows from each position to the end of its tweet: a window fits if >= h
+        room = np.concatenate([np.arange(len(t), 0, -1) for t in padded])
+        if masks is not None:  # input masks end to end; one row per tweet elsewhere
+            masks = {
+                k: (np.concatenate if k == "input" else np.stack)([mk[k] for mk in masks])
+                for k in masks[0]
+            }
+        x = p["emb"][ids]
         if masks is not None:
             x = x * masks["input"][:, None]
-        c.x_tilde = x
-        m, n = x.shape
 
-        c.slices, c.z, c.argmax = {}, {}, {}
+        saved = {"ids": ids, "masks": masks}
         pooled_parts = []
         for h in FILTER_HEIGHTS:
-            positions = m - h + 1
-            s = np.empty((positions, h * n), dtype=x.dtype)
-            for k in range(positions):
-                s[k] = x[k : k + h].reshape(-1)
+            rows = np.flatnonzero(room >= h)  # window starts
+            s = x[rows[:, None] + np.arange(h)].reshape(len(rows), h * n)
             z = s @ p[f"conv{h}_w"].T + p[f"conv{h}_b"]
             a = np.maximum(z, 0.0)
-            arg = np.argmax(a, axis=0)  # first maximal position per filter
-            pooled = a[arg, np.arange(a.shape[1])]
+            counts = lengths - h + 1
+            first = np.cumsum(counts) - counts
+            pooled = np.maximum.reduceat(a, first, axis=0)
+            # first argmax: the least window index among those that hit the max
+            window = np.arange(len(rows))[:, None]
+            hits = np.where(a == np.repeat(pooled, counts, axis=0), window, len(rows))
+            arg = np.minimum.reduceat(hits, first, axis=0)
             if masks is not None:
                 pooled = pooled * masks[f"bank{h}"]
-            c.slices[h], c.z[h], c.argmax[h] = s, z, arg
+            saved[h] = {"rows": rows, "s": s, "z": z, "argmax": arg}
             pooled_parts.append(pooled)
-        pooled_all = np.concatenate(pooled_parts)
-        c.pooled_scaled = pooled_all
+        pooled_all = np.concatenate(pooled_parts, axis=1)
 
         zd = pooled_all @ p["dense_w"] + p["dense_b"]
         a = np.maximum(zd, 0.0)
         if masks is not None:
             a = a * masks["dense"]
-        c.zd = zd
-        c.a_tilde = a
-        logit = float(a @ p["out_w"] + p["out_b"][0])
-        c.prob = float(1.0 / (1.0 + np.exp(-logit)))
-        return c
+        logit = (a @ p["out_w"] + p["out_b"][0]).astype(np.float64)
+        saved.update(pooled=pooled_all, zd=zd, a=a)
+        return 1.0 / (1.0 + np.exp(-logit)), saved
 
-    def forward(
-        self,
-        ids: Sequence[int],
-        train: bool = False,
-        rng: Optional[np.random.Generator] = None,
-    ) -> float:
+    def predict_proba(self, id_lists: Sequence[Sequence[int]]) -> np.ndarray:
+        """P(HOF) per encoded tweet, computed INFER_BATCH tweets at a time."""
+        chunks = [
+            self._forward(id_lists[i : i + INFER_BATCH])[0]
+            for i in range(0, len(id_lists), INFER_BATCH)
+        ]
+        return np.concatenate(chunks) if chunks else np.zeros(0)
+
+    def forward(self, ids: Sequence[int]) -> float:
         """Probability of HOF for one encoded tweet."""
-        masks = None
-        if train:
-            if rng is None:
-                raise ValueError("train-mode forward needs an rng for dropout masks")
-            masks = self.make_masks(len(_pad_ids(ids, self.cfg.m_max)), rng)
-        return self._forward_cached(ids, masks).prob
+        return float(self.predict_proba([ids])[0])
 
     def predict(self, ids: Sequence[int]) -> int:
         """1 (HOF) iff the inferred probability is >= 0.5, else 0 (NOT)."""
         return 1 if self.forward(ids) >= 0.5 else 0
 
     def predict_batch(self, examples: Sequence[EncodedExample]) -> list:
-        return [self.predict(ex.ids) for ex in examples]
+        return (self.predict_proba([ex.ids for ex in examples]) >= 0.5).astype(int).tolist()
 
     # -- loss and gradients ------------------------------------------------
 
@@ -351,12 +319,8 @@ class CnnModel:
         self, batch: Sequence[EncodedExample], masks_list: Optional[Sequence] = None
     ) -> float:
         """Mean BCE over a batch, with optional fixed dropout masks per example."""
-        total = 0.0
-        for i, ex in enumerate(batch):
-            masks = masks_list[i] if masks_list is not None else None
-            cache = self._forward_cached(ex.ids, masks)
-            total += bce_loss(cache.prob, ex.label)
-        return total / len(batch)
+        probs, _ = self._forward([ex.ids for ex in batch], masks_list)
+        return float(np.mean(bce_loss(probs, np.array([ex.label for ex in batch]))))
 
     def batch_loss_grads(
         self, batch: Sequence[EncodedExample], masks_list: Optional[Sequence] = None
@@ -368,58 +332,47 @@ class CnnModel:
         accumulates per token occurrence and the pad row stays at zero.
         """
         p, cfg = self.params, self.cfg
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        total = 0.0
-        for i, ex in enumerate(batch):
-            masks = masks_list[i] if masks_list is not None else None
-            c = self._forward_cached(ex.ids, masks)
-            y = ex.label
-            total += bce_loss(c.prob, y)
+        probs, saved = self._forward([ex.ids for ex in batch], masks_list)
+        masks = saved["masks"]
+        y = np.array([ex.label for ex in batch])
+        loss = float(np.mean(bce_loss(probs, y)))
 
-            # d(loss)/d(logit); zero if the clamp in bce_loss was active
-            if PROB_CLAMP < c.prob < 1.0 - PROB_CLAMP:
-                dlogit = c.prob - y
-            else:
-                dlogit = 0.0
+        # d(mean loss)/d(logit) per example; zero where the clamp in bce_loss was active
+        inside = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
+        dlogit = (np.where(inside, probs - y, 0.0) / len(batch)).astype(self.dtype)
+        grads = {"out_w": dlogit @ saved["a"], "out_b": dlogit.sum(keepdims=True)}
+        da = dlogit[:, None] * p["out_w"]
+        if masks is not None:
+            da = da * masks["dense"]
+        dzd = da * (saved["zd"] > 0)
+        grads["dense_w"] = saved["pooled"].T @ dzd
+        grads["dense_b"] = dzd.sum(axis=0)
+        dpooled_all = dzd @ p["dense_w"].T
 
-            grads["out_w"] += dlogit * c.a_tilde
-            grads["out_b"][0] += dlogit
-            da = dlogit * p["out_w"]
+        ids = saved["ids"]
+        dx = np.zeros((len(ids), cfg.embed_dim), dtype=self.dtype)
+        offset = 0
+        for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
+            dpooled = dpooled_all[:, offset : offset + count]
+            offset += count
             if masks is not None:
-                da = da * masks["dense"]
-            dzd = da * (c.zd > 0)
-            grads["dense_w"] += np.outer(c.pooled_scaled, dzd)
-            grads["dense_b"] += dzd
-            dpooled_all = p["dense_w"] @ dzd
+                dpooled = dpooled * masks[f"bank{h}"]
+            z, arg, rows = saved[h]["z"], saved[h]["argmax"], saved[h]["rows"]
+            cols = np.arange(count)
+            dz = np.zeros_like(z)
+            dz[arg, cols] = dpooled * (z[arg, cols] > 0)
+            grads[f"conv{h}_w"] = dz.T @ saved[h]["s"]
+            grads[f"conv{h}_b"] = dz.sum(axis=0)
+            ds = (dz @ p[f"conv{h}_w"]).reshape(len(rows), h, cfg.embed_dim)
+            for j in range(h):  # rows + j are distinct, so each add is safe
+                dx[rows + j] += ds[:, j]
 
-            dx_tilde = np.zeros_like(c.x_tilde)
-            offset = 0
-            for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
-                dpooled = dpooled_all[offset : offset + count]
-                offset += count
-                if masks is not None:
-                    dpooled = dpooled * masks[f"bank{h}"]
-                z, arg, s = c.z[h], c.argmax[h], c.slices[h]
-                dz = np.zeros_like(z)
-                cols = np.arange(count)
-                gate = z[arg, cols] > 0
-                dz[arg, cols] = dpooled * gate
-                grads[f"conv{h}_w"] += dz.T @ s
-                grads[f"conv{h}_b"] += dz.sum(axis=0)
-                ds = dz @ p[f"conv{h}_w"]
-                n = cfg.embed_dim
-                for k in range(ds.shape[0]):
-                    dx_tilde[k : k + h] += ds[k].reshape(h, n)
-
-            if masks is not None:
-                dx_tilde = dx_tilde * masks["input"][:, None]
-            np.add.at(grads["emb"], c.padded_ids, dx_tilde)
-
+        if masks is not None:
+            dx = dx * masks["input"][:, None]
+        grads["emb"] = np.zeros_like(p["emb"])
+        np.add.at(grads["emb"], ids, dx)
         grads["emb"][PAD_ID] = 0.0
-        inv_b = 1.0 / len(batch)
-        for k in grads:
-            grads[k] *= self.dtype.type(inv_b)
-        return total / len(batch), grads
+        return loss, grads
 
 
 class Adam:
@@ -438,12 +391,19 @@ class Adam:
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for k in PARAM_ORDER:
-            g = grads[k]
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            m_hat = self.m[k] / bias1
-            v_hat = self.v[k] / bias2
-            self.params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / bias1
+            v_hat = v / bias2
+            # lr * m_hat / (sqrt(v_hat) + eps), in place so only two temporaries live
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += self.eps
+            m_hat *= self.lr
+            m_hat /= v_hat
+            self.params[k] -= m_hat
 
 
 def train_model(

@@ -190,6 +190,18 @@ class TestTrainCmd:
         assert rc == 0
         assert len(history.read_text(encoding="utf-8").splitlines()) == 2  # header + 1
 
+    def test_float_filter_counts_accepted(self, tmp_path):
+        data, vectors, config, ckpt, history = run_pipeline(tmp_path)
+        cfg = json.loads(config.read_text(encoding="utf-8"))
+        cfg["model"]["filter_counts"] = [2.0, 2.0, 4.0]
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = cli.main(
+            ["train", "--config", str(config), "--data", str(data),
+             "--embeddings", str(vectors), "--out", str(ckpt), "--seed", "1"]
+        )
+        assert rc == 0
+        assert cnn.load_checkpoint(ckpt).cfg.filter_counts == (2, 2, 4)
+
     def test_unlabelled_data_rejected(self, tmp_path, capsys):
         data = tmp_path / "u.tsv"
         write_tsv(data, ["t1\tkuch"], header="text_id\ttext")
@@ -376,6 +388,22 @@ class TestEvalAndPredictCmds:
         n_in = len(data.read_text(encoding="utf-8").splitlines()) - 1
         n_out = len(out.read_text(encoding="utf-8").splitlines()) - 1
         assert n_in == n_out
+
+    def test_rows_in_input_order_across_inference_chunks(self, tmp_path):
+        _, vectors, _, ckpt, _ = run_pipeline(tmp_path)
+        data = make_labelled_tsv(tmp_path / "many.tsv", n=cnn.INFER_BATCH + 9, seed=3)
+        out = tmp_path / "preds.tsv"
+        assert cli.main(
+            ["predict", str(ckpt), str(data), "--embeddings", str(vectors),
+             "--out", str(out)]
+        ) == 0
+        _, vocab = embedding.load_text(vectors)
+        model = cnn.load_checkpoint(ckpt, vocab)
+        want = []
+        for ex in corpus.load_tsv(data):
+            p = model.forward(corpus.encode(ex.tokens, vocab).ids)
+            want.append(f"{ex.tweet_id}\t{'HOF' if p >= 0.5 else 'NOT'}\t{p:.6f}")
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == want
 
 
 class TestCvCmd:

@@ -5,16 +5,15 @@ import pytest
 
 from hofkit import cnn, corpus
 from hofkit.cnn import (
+    INFER_BATCH,
     Adam,
     CnnConfig,
     CnnModel,
     DropoutSpec,
     TrainConfig,
+    _pad_ids,
     bce_loss,
-    conv_feature,
-    embed_and_pad,
     load_checkpoint,
-    max_pool,
     save_checkpoint,
     train_model,
     vocab_hash,
@@ -25,6 +24,49 @@ from hofkit.seeding import derived_rng
 from gradcheck import finite_difference, group_relative_error
 
 SMALL = dict(embed_dim=8, filter_counts=(2, 2, 4), dense_units=8, m_max=7)
+
+
+# -- scalar reference ops: the model's packed pass is checked against these ----
+
+
+def embed_and_pad(ids, emb: np.ndarray, m_max: int) -> np.ndarray:
+    """Look up embedding rows, truncate at m_max, right-pad with the zero row to >= 5."""
+    padded = _pad_ids(ids, m_max)
+    return emb[padded]
+
+
+def conv_feature(weights: np.ndarray, bias: float, t: np.ndarray, k: int) -> float:
+    """ReLU(filter . slice + bias) for the slice starting at row k (0-based, stride 1)."""
+    h = weights.shape[0]
+    if not 0 <= k <= t.shape[0] - h:
+        raise ValueError(f"slice start {k} out of range for m={t.shape[0]}, h={h}")
+    return float(max(0.0, float(np.sum(weights * t[k : k + h])) + float(bias)))
+
+
+def max_pool(features) -> tuple:
+    """Maximum feature and its position; ties go to the first position."""
+    if len(features) == 0:
+        raise ValueError("max_pool needs at least one feature")
+    arr = np.asarray(features)
+    k = int(np.argmax(arr))  # np.argmax returns the first maximal index
+    return float(arr[k]), k
+
+
+def adam_textbook(params, grads_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam with fresh moment arrays each step, as in Kingma & Ba's Algorithm 1."""
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(x) for k, x in params.items()}
+    for t, grads in enumerate(grads_seq, start=1):
+        bias1 = 1.0 - b1**t
+        bias2 = 1.0 - b2**t
+        for k in params:
+            g = grads[k]
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            m_hat = m[k] / bias1
+            v_hat = v[k] / bias2
+            params[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return m, v
 
 
 def small_model(seed=0, dropout=None, dtype=np.float64, vocab=9, randomize_biases=True):
@@ -108,7 +150,7 @@ class TestMaxPool:
     def test_model_pooling_matches_op_composition(self):
         model, rng = small_model(seed=4)
         ids = tuple(int(x) for x in rng.integers(1, 9, size=6))
-        c = model._forward_cached(ids, None)
+        _, c = model._forward([ids])
         t = embed_and_pad(ids, model.params["emb"], model.cfg.m_max)
         for h, count in zip(cnn.FILTER_HEIGHTS, model.cfg.filter_counts):
             for ci in range(count):
@@ -116,9 +158,9 @@ class TestMaxPool:
                 b = float(model.params[f"conv{h}_b"][ci])
                 feats = [conv_feature(w, b, t, k) for k in range(t.shape[0] - h + 1)]
                 value, arg = max_pool(feats)
-                a = np.maximum(c.z[h][:, ci], 0.0)
+                a = np.maximum(c[h]["z"][:, ci], 0.0)
                 assert value == pytest.approx(float(a.max()))
-                assert arg == int(c.argmax[h][ci])
+                assert arg == int(c[h]["argmax"][0, ci])
 
 
 class TestForward:
@@ -138,7 +180,8 @@ class TestForward:
         model, rng = small_model(seed=2, dropout=DropoutSpec.none())
         ids = tuple(int(x) for x in rng.integers(1, 9, size=6))
         mask_rng = derived_rng(0, "masks")
-        assert model.forward(ids, train=True, rng=mask_rng) == model.forward(ids)
+        masks = model.make_masks(len(_pad_ids(ids, model.cfg.m_max)), mask_rng)
+        assert model._forward([ids], [masks])[0][0] == model.forward(ids)
 
     def test_probability_in_unit_interval(self):
         model, rng = small_model(seed=3)
@@ -151,6 +194,35 @@ class TestForward:
         for k in model.params:
             model.params[k][...] = 0.0
         assert model.predict((1, 2)) == 1  # p = 0.5 ties to HOF
+
+
+class TestPackedBatch:
+    def test_predict_proba_matches_per_tweet_forward(self):
+        model, rng = small_model(seed=11)
+        queries = [(), tuple(range(1, 9)) * 2] + [
+            tuple(int(x) for x in rng.integers(1, 9, size=int(rng.integers(0, 15))))
+            for _ in range(INFER_BATCH + 5)
+        ]
+        assert max(len(q) for q in queries) > model.cfg.m_max
+        probs = model.predict_proba(queries)
+        assert probs.shape == (len(queries),)
+        assert np.abs(probs - [model.forward(q) for q in queries]).max() < 1e-12
+        assert model.predict_proba([]).shape == (0,)
+
+    def test_batch_gradients_equal_mean_of_single_example_gradients(self):
+        model, rng = small_model(seed=12, dropout=DropoutSpec())
+        batch = random_batch(rng, sizes=(0, 3, 12, 7, 5), labels=(1, 0, 1, 0, 1))
+        mask_rng = derived_rng(12, "cnn-test-masks")
+        masks = [
+            model.make_masks(len(_pad_ids(ex.ids, model.cfg.m_max)), mask_rng)
+            for ex in batch
+        ]
+        loss, grads = model.batch_loss_grads(batch, masks)
+        singles = [model.batch_loss_grads([ex], [mk]) for ex, mk in zip(batch, masks)]
+        assert abs(loss - np.mean([single_loss for single_loss, _ in singles])) < 1e-12
+        for key in cnn.PARAM_ORDER:
+            mean = sum(g[key] for _, g in singles) / len(batch)
+            assert np.abs(grads[key] - mean).max() < 1e-12, key
 
 
 class TestLoss:
@@ -213,13 +285,16 @@ class TestDropout:
         # mask, so its mean over masks must approach the no-dropout value
         base, rng = small_model(seed=9)
         ids = tuple(int(x) for x in rng.integers(1, 9, size=7))
-        infer = base._forward_cached(ids, None)
-        m = len(infer.padded_ids)
-        n_trials = 20000
+        infer = base._forward([ids])
+        m = len(infer[1]["ids"])
+        n_trials, per_pass = 20000, 1000
+        # one row of values per trial; trials run as copies of the tweet in one pass
         sites = {
-            "input": lambda c: np.concatenate([c.z[h].ravel() for h in (3, 4, 5)]),
-            "bank3": lambda c: c.zd,
-            "dense": lambda c: np.array([math.log(c.prob / (1 - c.prob))]),
+            "input": lambda c: np.concatenate(
+                [c[1][h]["z"].reshape(len(c[0]), -1) for h in (3, 4, 5)], axis=1
+            ),
+            "bank3": lambda c: c[1]["zd"],
+            "dense": lambda c: np.log(c[0] / (1 - c[0]))[:, None],
         }
         for site, extract in sites.items():
             rates = {k: 0.0 for k in ("input", "bank3", "bank4", "bank5", "dense")}
@@ -228,13 +303,12 @@ class TestDropout:
                 base.copy_params(), CnnConfig(dropout=DropoutSpec(**rates), **SMALL)
             )
             mask_rng = derived_rng(42, f"dropexp-{site}")
-            acc = None
-            for _ in range(n_trials):
-                c = model._forward_cached(ids, model.make_masks(m, mask_rng))
-                v = extract(c)
-                acc = v if acc is None else acc + v
+            acc = 0.0
+            for _ in range(n_trials // per_pass):
+                masks = [model.make_masks(m, mask_rng) for _ in range(per_pass)]
+                acc = acc + extract(model._forward([ids] * per_pass, masks)).sum(axis=0)
             mean = acc / n_trials
-            want = extract(infer)
+            want = extract(infer)[0]
             rel = np.abs(mean - want).max() / max(np.abs(want).max(), 1e-8)
             assert rel < 0.01, site
 
@@ -401,6 +475,31 @@ class TestConcurrency:
 
 
 class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_matches_textbook_bitwise(self, dtype):
+        rng = derived_rng(0, f"adam-{np.dtype(dtype).name}")
+        shape = (4, 3)
+        params = {k: rng.normal(size=shape).astype(dtype) for k in cnn.PARAM_ORDER}
+        # magnitudes from exactly 0 up to 1e3, both signs
+        grads_seq = [
+            {
+                k: (rng.choice([-1.0, 0.0, 1.0], size=shape)
+                    * 10.0 ** rng.uniform(-6, 3, size=shape)).astype(dtype)
+                for k in cnn.PARAM_ORDER
+            }
+            for _ in range(200)
+        ]
+        expected = {k: v.copy() for k, v in params.items()}
+        m, v = adam_textbook(expected, grads_seq)
+        opt = Adam(params)
+        for grads in grads_seq:
+            opt.step(grads)
+        for k in cnn.PARAM_ORDER:
+            assert np.array_equal(params[k], expected[k]), k
+            assert np.array_equal(opt.m[k], m[k]), k
+            assert np.array_equal(opt.v[k], v[k]), k
+            assert params[k].dtype == dtype
+
     def test_moves_toward_minimum(self):
         params = {k: np.zeros(1) for k in cnn.PARAM_ORDER}
         params["out_b"] = np.array([5.0])
