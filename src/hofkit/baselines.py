@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import EncodedExample, kfold
+from .layers import dense_backward, dense_forward, dropout_mask, run_epoch
 from .metrics import macro_f1
 from .seeding import derived_rng
 
@@ -233,7 +234,8 @@ class DnnModel:
     """Five ReLU hidden layers of eight units, 2-way softmax, plain SGD.
 
     Inverted dropout on the input vector and the first two hidden
-    activations, per-site rates from the config.
+    activations, per-site rates from the config. The six layers are one
+    stack of ``layers.py``, which also runs the shuffled minibatch epoch.
     """
 
     def __init__(self, input_dim: int, cfg: DnnConfig = DnnConfig()):
@@ -251,36 +253,28 @@ class DnnModel:
     # masks[i] applies to the activation feeding layer i (0 = input vector)
     def make_masks(self, rng: np.random.Generator) -> dict:
         cfg = self.cfg
-        masks = {}
-        for idx, rate, size in (
-            (0, cfg.dropout_input, self.input_dim),
-            (1, cfg.dropout_h1, cfg.hidden[0]),
-            (2, cfg.dropout_h2, cfg.hidden[1]),
-        ):
-            keep = 1.0 - rate
-            masks[idx] = (rng.random(size) < keep).astype(np.float64) / keep
-        return masks
+        return {
+            idx: dropout_mask(size, rate, rng, np.float64)
+            for idx, rate, size in (
+                (0, cfg.dropout_input, self.input_dim),
+                (1, cfg.dropout_h1, cfg.hidden[0]),
+                (2, cfg.dropout_h2, cfg.hidden[1]),
+            )
+        }
 
-    def _forward(self, x: np.ndarray, masks: Optional[dict]):
+    def _layers(self) -> list:
+        return [(self.params[f"w{i}"], self.params[f"b{i}"]) for i in range(self.n_layers)]
+
+    def _forward(self, x: np.ndarray, masks: dict):
         """Forward pass over rows of ``x``; ``masks`` maps a site to (B, width)."""
-        acts = []  # post-dropout activation feeding each layer
-        zs = []
-        a = x * masks[0] if masks is not None else x
-        for i in range(self.n_layers):
-            acts.append(a)
-            z = a @ self.params[f"w{i}"] + self.params[f"b{i}"]
-            zs.append(z)
-            if i < self.n_layers - 1:
-                a = np.maximum(z, 0.0)
-                if masks is not None and (i + 1) in masks:
-                    a = a * masks[i + 1]
+        acts, zs = dense_forward(x, self._layers(), masks)
         z_out = zs[-1]
         exp = np.exp(z_out - z_out.max(axis=-1, keepdims=True))
         probs = exp / exp.sum(axis=-1, keepdims=True)
         return acts, zs, probs
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(x, None)[2]
+        return self._forward(x, {})[2]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         probs = self.predict_proba(x)
@@ -295,17 +289,11 @@ class DnnModel:
         acts, zs, probs = self._forward(xs, masks)
         delta = probs.copy()
         delta[np.arange(len(ys)), ys] -= 1.0  # d(cross-entropy)/d(output logits)
-        inv = 1.0 / xs.shape[0]
+        delta /= len(ys)
+        layer_grads, _ = dense_backward(delta, self._layers(), acts, zs, masks)
         grads = {}
-        for layer in range(self.n_layers - 1, -1, -1):
-            grads[f"w{layer}"] = (acts[layer].T @ delta) * inv
-            grads[f"b{layer}"] = delta.sum(axis=0) * inv
-            if layer == 0:
-                break
-            da = delta @ self.params[f"w{layer}"].T
-            if masks is not None and layer in masks:
-                da = da * masks[layer]
-            delta = da * (zs[layer - 1] > 0)
+        for i, (dw, db) in enumerate(layer_grads):
+            grads[f"w{i}"], grads[f"b{i}"] = dw, db
         return _mean_nll(probs, ys), grads
 
     def fit(self, xs: np.ndarray, ys: Sequence[int]) -> list:
@@ -313,28 +301,25 @@ class DnnModel:
         shuffle_rng = derived_rng(cfg.seed, "dnn-shuffle")
         mask_rng = derived_rng(cfg.seed, "dnn-dropout")
         ys = np.asarray(ys)
-        n = xs.shape[0]
-        losses = []
-        for epoch in range(cfg.epochs):
-            order = shuffle_rng.permutation(n)
-            running = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                masks_list = [self.make_masks(mask_rng) for _ in idx]
-                loss, grads = self.batch_loss_grads(xs[idx], ys[idx], masks_list)
-                if not np.isfinite(loss):
-                    raise RuntimeError(f"DNN diverged: non-finite loss at epoch {epoch}")
-                for k in self.params:
-                    self.params[k] -= cfg.lr * grads[k]
-                running += loss * len(idx)
-            losses.append(running / n)
-        return losses
+
+        def loss_grads(idx):
+            masks_list = [self.make_masks(mask_rng) for _ in idx]
+            return self.batch_loss_grads(xs[idx], ys[idx], masks_list)
+
+        def sgd(grads):
+            for k in self.params:
+                self.params[k] -= cfg.lr * grads[k]
+
+        return [
+            run_epoch(xs.shape[0], cfg.batch_size, shuffle_rng, loss_grads, sgd, epoch)
+            for epoch in range(1, cfg.epochs + 1)
+        ]
 
 
-def _stack_masks(masks_list) -> Optional[dict]:
+def _stack_masks(masks_list) -> dict:
     """Per-example {site: mask} dicts -> one {site: (B, width)} dict."""
     if masks_list is None:
-        return None
+        return {}
     return {site: np.stack([m[site] for m in masks_list]) for site in masks_list[0]}
 
 

@@ -8,7 +8,10 @@ The embedding table is a trainable parameter (fine-tuned end to end); its
 pad row is pinned to zero. All gradients are hand-derived; training uses
 Adam on mean-batch binary cross-entropy. Dropout is inverted (survivors
 scaled by 1/keep) at four sites: input word rows, pooled features of each
-bank, and dense activations.
+bank, and dense activations. The dense layer and the output form one layer
+stack of ``layers.py``, which also draws the dropout masks and runs the
+shuffled minibatch epoch; the conv banks, max-pool, early stopping and Adam
+live here.
 
 Each batch runs as one packed pass over its padded tweets stacked end to end;
 gradients are reduced over the batch in a fixed order, so a fixed seed
@@ -26,6 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import EncodedExample, PAD_ID, Vocabulary
+from .layers import dense_backward, dense_forward, dropout_mask, run_epoch
 from .metrics import macro_f1
 from .seeding import derived_rng
 
@@ -146,6 +150,20 @@ def _pad_ids(ids: Sequence[int], m_max: int) -> np.ndarray:
     return out
 
 
+def _param_shapes(cfg: CnnConfig, vocab_size: int) -> dict:
+    """Shape of every parameter, in PARAM_ORDER."""
+    n = cfg.embed_dim
+    shapes = {"emb": (vocab_size, n)}
+    for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
+        shapes[f"conv{h}_w"] = (count, h * n)
+        shapes[f"conv{h}_b"] = (count,)
+    shapes["dense_w"] = (cfg.pooled_width, cfg.dense_units)
+    shapes["dense_b"] = (cfg.dense_units,)
+    shapes["out_w"] = (cfg.dense_units,)
+    shapes["out_b"] = (1,)
+    return shapes
+
+
 def bce_loss(p, y):
     """Elementwise binary cross-entropy, with p clamped away from 0 and 1."""
     pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -165,20 +183,10 @@ class CnnModel:
         self._check_shapes()
 
     def _check_shapes(self):
-        p, cfg = self.params, self.cfg
-        n = cfg.embed_dim
-        if p["emb"].shape[1] != n:
-            raise ValueError(
-                f"embedding dim {p['emb'].shape[1]} does not match config dim {n}"
-            )
-        for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
-            if p[f"conv{h}_w"].shape != (count, h * n):
-                raise ValueError(f"conv{h} weights must have shape {(count, h * n)}")
-        if p["dense_w"].shape != (cfg.pooled_width, cfg.dense_units):
-            raise ValueError(
-                f"dense input width {p['dense_w'].shape[0]} does not equal "
-                f"total filter count {cfg.pooled_width}"
-            )
+        p = self.params
+        for key, shape in _param_shapes(self.cfg, len(p["emb"])).items():
+            if p[key].shape != shape:
+                raise ValueError(f"{key} shape {p[key].shape} does not equal {shape}")
 
     @classmethod
     def init(
@@ -189,29 +197,15 @@ class CnnModel:
         dtype=np.float32,
     ) -> "CnnModel":
         """Glorot-uniform weights, zero biases; embedding copied with pad row zeroed."""
-        if embedding.shape[1] != cfg.embed_dim:
-            raise ValueError(
-                f"embedding dim {embedding.shape[1]} does not match config dim "
-                f"{cfg.embed_dim}"
-            )
         rng = derived_rng(seed, "cnn-init")
-        n = cfg.embed_dim
-
-        def glorot(fan_in, fan_out, shape):
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-        emb = np.array(embedding, dtype=dtype)
-        emb[PAD_ID] = 0.0
-        params = {"emb": emb}
-        for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
-            params[f"conv{h}_w"] = glorot(h * n, count, (count, h * n))
-            params[f"conv{h}_b"] = np.zeros(count, dtype=dtype)
-        f = cfg.pooled_width
-        params["dense_w"] = glorot(f, cfg.dense_units, (f, cfg.dense_units))
-        params["dense_b"] = np.zeros(cfg.dense_units, dtype=dtype)
-        params["out_w"] = glorot(cfg.dense_units, 1, (cfg.dense_units,))
-        params["out_b"] = np.zeros(1, dtype=dtype)
+        params = {"emb": np.array(embedding, dtype=dtype)}
+        params["emb"][PAD_ID] = 0.0
+        for key, shape in list(_param_shapes(cfg, len(embedding)).items())[1:]:  # all but emb
+            if key.endswith("_b"):
+                params[key] = np.zeros(shape, dtype=dtype)
+            else:  # fan-in + fan-out; out_w is one column, so its fan-out of 1 is implicit
+                bound = np.sqrt(6.0 / (sum(shape) + (len(shape) == 1)))
+                params[key] = rng.uniform(-bound, bound, size=shape).astype(dtype)
         return cls(params, cfg)
 
     @property
@@ -230,18 +224,13 @@ class CnnModel:
     def make_masks(self, m: int, rng: np.random.Generator) -> dict:
         """Scaled 0/(1/keep) masks for one example of padded length m."""
         d = self.cfg.dropout
-        masks = {"input": self._mask(m, d.input, rng)}
+        masks = {"input": dropout_mask(m, d.input, rng, self.dtype)}
         for h, count, rate in zip(
             FILTER_HEIGHTS, self.cfg.filter_counts, (d.bank3, d.bank4, d.bank5)
         ):
-            masks[f"bank{h}"] = self._mask(count, rate, rng)
-        masks["dense"] = self._mask(self.cfg.dense_units, d.dense, rng)
+            masks[f"bank{h}"] = dropout_mask(count, rate, rng, self.dtype)
+        masks["dense"] = dropout_mask(self.cfg.dense_units, d.dense, rng, self.dtype)
         return masks
-
-    def _mask(self, size: int, rate: float, rng: np.random.Generator) -> np.ndarray:
-        keep = 1.0 - rate
-        mask = (rng.random(size) < keep).astype(self.dtype)
-        return mask / self.dtype.type(keep)
 
     # -- forward -----------------------------------------------------------
 
@@ -257,16 +246,19 @@ class CnnModel:
         ids = np.concatenate(padded)  # no padding to a common length
         # rows from each position to the end of its tweet: a window fits if >= h
         room = np.concatenate([np.arange(len(t), 0, -1) for t in padded])
-        if masks is not None:  # input masks end to end; one row per tweet elsewhere
-            masks = {
-                k: (np.concatenate if k == "input" else np.stack)([mk[k] for mk in masks])
-                for k in masks[0]
+        input_mask, head_masks = None, {}
+        if masks is not None:  # input masks end to end; the head's masks one row per tweet
+            input_mask = np.concatenate([mk["input"] for mk in masks])[:, None]
+            banks = [np.stack([mk[f"bank{h}"] for mk in masks]) for h in FILTER_HEIGHTS]
+            head_masks = {
+                0: np.concatenate(banks, axis=1),
+                1: np.stack([mk["dense"] for mk in masks]),
             }
         x = p["emb"][ids]
-        if masks is not None:
-            x = x * masks["input"][:, None]
+        if input_mask is not None:
+            x = x * input_mask
 
-        saved = {"ids": ids, "masks": masks}
+        saved = {"ids": ids, "input_mask": input_mask, "head_masks": head_masks}
         pooled_parts = []
         for h in FILTER_HEIGHTS:
             rows = np.flatnonzero(room >= h)  # window starts
@@ -280,19 +272,18 @@ class CnnModel:
             window = np.arange(len(rows))[:, None]
             hits = np.where(a == np.repeat(pooled, counts, axis=0), window, len(rows))
             arg = np.minimum.reduceat(hits, first, axis=0)
-            if masks is not None:
-                pooled = pooled * masks[f"bank{h}"]
             saved[h] = {"rows": rows, "s": s, "z": z, "argmax": arg}
             pooled_parts.append(pooled)
-        pooled_all = np.concatenate(pooled_parts, axis=1)
 
-        zd = pooled_all @ p["dense_w"] + p["dense_b"]
-        a = np.maximum(zd, 0.0)
-        if masks is not None:
-            a = a * masks["dense"]
-        logit = (a @ p["out_w"] + p["out_b"][0]).astype(np.float64)
-        saved.update(pooled=pooled_all, zd=zd, a=a)
+        acts, zs = dense_forward(np.concatenate(pooled_parts, axis=1), self._head(), head_masks)
+        logit = zs[1][:, 0].astype(np.float64)
+        saved.update(acts=acts, zs=zs, zd=zs[0])
         return 1.0 / (1.0 + np.exp(-logit)), saved
+
+    def _head(self) -> list:
+        """The dense ReLU layer and the output logit as one layer stack."""
+        p = self.params
+        return [(p["dense_w"], p["dense_b"]), (p["out_w"][:, None], p["out_b"])]
 
     def predict_proba(self, id_lists: Sequence[Sequence[int]]) -> np.ndarray:
         """P(HOF) per encoded tweet, computed INFER_BATCH tweets at a time."""
@@ -333,21 +324,18 @@ class CnnModel:
         """
         p, cfg = self.params, self.cfg
         probs, saved = self._forward([ex.ids for ex in batch], masks_list)
-        masks = saved["masks"]
         y = np.array([ex.label for ex in batch])
         loss = float(np.mean(bce_loss(probs, y)))
+        if not np.isfinite(loss):  # NaN activations match no pooled max: no argmax to route to
+            return loss, {}
 
         # d(mean loss)/d(logit) per example; zero where the clamp in bce_loss was active
         inside = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
         dlogit = (np.where(inside, probs - y, 0.0) / len(batch)).astype(self.dtype)
-        grads = {"out_w": dlogit @ saved["a"], "out_b": dlogit.sum(keepdims=True)}
-        da = dlogit[:, None] * p["out_w"]
-        if masks is not None:
-            da = da * masks["dense"]
-        dzd = da * (saved["zd"] > 0)
-        grads["dense_w"] = saved["pooled"].T @ dzd
-        grads["dense_b"] = dzd.sum(axis=0)
-        dpooled_all = dzd @ p["dense_w"].T
+        ((dense_w, dense_b), (out_w, out_b)), dpooled_all = dense_backward(
+            dlogit[:, None], self._head(), saved["acts"], saved["zs"], saved["head_masks"]
+        )
+        grads = {"dense_w": dense_w, "dense_b": dense_b, "out_w": out_w.ravel(), "out_b": out_b}
 
         ids = saved["ids"]
         dx = np.zeros((len(ids), cfg.embed_dim), dtype=self.dtype)
@@ -355,8 +343,6 @@ class CnnModel:
         for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
             dpooled = dpooled_all[:, offset : offset + count]
             offset += count
-            if masks is not None:
-                dpooled = dpooled * masks[f"bank{h}"]
             z, arg, rows = saved[h]["z"], saved[h]["argmax"], saved[h]["rows"]
             cols = np.arange(count)
             dz = np.zeros_like(z)
@@ -367,8 +353,8 @@ class CnnModel:
             for j in range(h):  # rows + j are distinct, so each add is safe
                 dx[rows + j] += ds[:, j]
 
-        if masks is not None:
-            dx = dx * masks["input"][:, None]
+        if saved["input_mask"] is not None:
+            dx = dx * saved["input_mask"]
         grads["emb"] = np.zeros_like(p["emb"])
         np.add.at(grads["emb"], ids, dx)
         grads["emb"][PAD_ID] = 0.0
@@ -432,29 +418,22 @@ def train_model(
     dropout_rng = derived_rng(cfg.seed, "cnn-dropout")
     adam = Adam(model.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
 
+    def loss_grads(idx):
+        batch = [train_ex[int(i)] for i in idx]
+        masks_list = [
+            model.make_masks(len(_pad_ids(ex.ids, model.cfg.m_max)), dropout_rng)
+            for ex in batch
+        ]
+        return model.batch_loss_grads(batch, masks_list)
+
     best_f1 = -1.0
     best_params = model.copy_params()
     since_improve = 0
     history = []
-    n = len(train_ex)
     for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        running = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = [train_ex[int(i)] for i in order[start : start + cfg.batch_size]]
-            masks_list = [
-                model.make_masks(len(_pad_ids(ex.ids, model.cfg.m_max)), dropout_rng)
-                for ex in batch
-            ]
-            loss, grads = model.batch_loss_grads(batch, masks_list)
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"training diverged: non-finite loss at epoch {epoch}"
-                )
-            adam.step(grads)
-            running += loss * len(batch)
-        train_loss = running / n
-
+        train_loss = run_epoch(
+            len(train_ex), cfg.batch_size, shuffle_rng, loss_grads, adam.step, epoch
+        )
         val_preds = model.predict_batch(val_ex)
         val_f1 = macro_f1(val_preds, [ex.label for ex in val_ex])
         history.append((epoch, float(train_loss), float(val_f1)))
@@ -562,16 +541,7 @@ def load_checkpoint(path, vocab: Optional[Vocabulary] = None) -> CnnModel:
         dropout=DropoutSpec(*rates),
     )
 
-    shapes = {
-        "emb": (vocab_size, embed_dim),
-        "dense_w": (cfg.pooled_width, dense_units),
-        "dense_b": (dense_units,),
-        "out_w": (dense_units,),
-        "out_b": (1,),
-    }
-    for h, count in zip(FILTER_HEIGHTS, counts):
-        shapes[f"conv{h}_w"] = (count, h * embed_dim)
-        shapes[f"conv{h}_b"] = (count,)
+    shapes = _param_shapes(cfg, vocab_size)
     expected = sum(int(np.prod(shapes[k])) for k in PARAM_ORDER) * 4
     if len(blob) != expected:
         raise ValueError(

@@ -1,10 +1,14 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from hofkit import cli, cnn, corpus, embedding
 from hofkit.seeding import derived_rng, derived_seeds
+
+DIVERGED = re.compile(r"error: training diverged: non-finite loss at epoch [1-9][0-9]*\n")
 
 
 def write_tsv(path, rows, header="text_id\ttext\ttask_1"):
@@ -201,6 +205,19 @@ class TestTrainCmd:
         )
         assert rc == 0
         assert cnn.load_checkpoint(ckpt).cfg.filter_counts == (2, 2, 4)
+
+    def test_diverging_run_is_one_error_line(self, tmp_path, capsys):
+        data, vectors, config, ckpt, history = run_pipeline(tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy overflow warning fails the test
+            rc = cli.main(
+                ["train", "--config", str(config), "--data", str(data),
+                 "--embeddings", str(vectors), "--out", str(ckpt), "--seed", "1",
+                 "--lr", "1e30"]
+            )
+        assert rc == 1
+        assert DIVERGED.fullmatch(capsys.readouterr().err)
 
     def test_unlabelled_data_rejected(self, tmp_path, capsys):
         data = tmp_path / "u.tsv"
@@ -514,6 +531,19 @@ class TestBaselineCmd:
              "--min-count", "1", "--seed", "4", "--out", str(tmp_path / "t.tsv")]
         )
         assert rc == 0
+
+    def test_diverging_dnn_is_one_error_line(self, tmp_path, capsys):
+        data = make_labelled_tsv(tmp_path / "train.tsv", n=30)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lr": [1e300]}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy overflow warning fails the test
+            rc = cli.main(
+                ["baseline", "--model", "dnn", "--data", str(data), "--grid", str(grid),
+                 "--folds", "5", "--min-count", "1", "--seed", "4"]
+            )
+        assert rc == 1
+        assert DIVERGED.fullmatch(capsys.readouterr().err)
 
     @pytest.mark.parametrize("grid", [{"alpha": 1.0}, [1, 2]], ids=["scalar-values", "list-of-numbers"])
     def test_malformed_grid_is_one_error_line(self, tmp_path, capsys, grid):

@@ -401,6 +401,18 @@ class TestShapeLaw:
         with pytest.raises(ValueError, match="does not equal"):
             CnnModel(bad, model.cfg)
 
+    @pytest.mark.parametrize(
+        "key, shape",
+        [("out_b", (2,)), ("conv3_b", (1,)), ("out_w", (8, 1)), ("dense_b", (7,)),
+         ("conv5_w", (4, 39)), ("emb", (9, 7))],
+    )
+    def test_every_parameter_shape_checked(self, key, shape):
+        model, _ = small_model()
+        bad = model.copy_params()
+        bad[key] = np.zeros(shape)
+        with pytest.raises(ValueError, match=f"{key} shape .* does not equal"):
+            CnnModel(bad, model.cfg)
+
     def test_m_max_below_minimum_rejected(self):
         with pytest.raises(ValueError):
             CnnConfig(embed_dim=8, filter_counts=(2, 2, 4), dense_units=8, m_max=4)
