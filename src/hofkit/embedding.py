@@ -288,7 +288,7 @@ def load_text(path) -> tuple[EmbeddingMatrix, Vocabulary]:
                     f"expected {dim + 1} columns, got {len(parts)}, line {lineno}"
                 )
             words.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
+            rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
     if len(words) != v:
         raise ValueError(f"header declares {v} rows but file has {len(words)}")
     w_in = np.array(rows, dtype=np.float64).reshape(len(words), dim)

@@ -3,7 +3,12 @@
 The pipeline turns a raw tweet into a list of tokens:
 
     html entities -> placeholders (mentions, retweets, urls) -> junk removal
-    -> repeat-character collapse -> tokenization -> Devanagari stemming
+    -> repeat-character collapse -> lowercasing -> tokenization
+    -> Devanagari stemming
+
+The string rules (everything before tokenization) repeat until the text stops
+changing; tokenization and stemming then run once, and the rules are written
+so that preprocessing the joined output is a no-op.
 
 Every step is a pure function on strings, so the whole pipeline is safe to
 call concurrently and produces byte-identical output for identical input.
@@ -11,6 +16,7 @@ call concurrently and produces byte-identical output for identical input.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from importlib import resources
@@ -37,8 +43,9 @@ PLACEHOLDERS = ("xxatp", "xxurl", "xxrtm", "xxrtu", "xxunk", "xxpad")
 # replacement never glues onto the following word.
 _RT_RE = re.compile(r"\bRT\s+@\w+:?\s*")
 _MT_RE = re.compile(r"\bMT\s+@\w+:?\s*")
-# URL grammar: a scheme followed by a non-space run, or a bare t.co link.
-_URL_RE = re.compile(r"https?://\S+|\bt\.co/\S+")
+# URL grammar: a scheme followed by a non-space run, or a bare t.co link. The
+# t.co link may follow "_" because tokenize splits that off as punctuation.
+_URL_RE = re.compile(r"https?://\S+|(?<![^\W_])t\.co/\S+")
 # Mention grammar: @ followed by at least one word character.
 _MENTION_RE = re.compile(r"@\w+")
 
@@ -62,6 +69,8 @@ _ENTITY_RE = re.compile(r"&(#[0-9]+|#[xX][0-9a-fA-F]+|[a-zA-Z]+);")
 
 _DEVANAGARI_LO = 0x0900
 _DEVANAGARI_HI = 0x097F
+# Danda, double danda and abbreviation sign: Devanagari, but punctuation.
+_DEVANAGARI_PUNCT = "\u0964\u0965\u0970"
 
 
 def html_unescape(text: str) -> str:
@@ -130,6 +139,7 @@ def load_suffix_table(path) -> tuple[str, ...]:
     return tuple(sorted(suffixes, key=lambda s: (-len(s), s)))
 
 
+@functools.cache
 def default_suffix_table() -> tuple[str, ...]:
     """Suffix table shipped with the package."""
     ref = resources.files("hofkit").joinpath("data/hindi_suffixes.txt")
@@ -137,19 +147,12 @@ def default_suffix_table() -> tuple[str, ...]:
         return load_suffix_table(path)
 
 
-_DEFAULT_SUFFIXES: tuple[str, ...] | None = None
-
-
-def _suffixes() -> tuple[str, ...]:
-    global _DEFAULT_SUFFIXES
-    if _DEFAULT_SUFFIXES is None:
-        _DEFAULT_SUFFIXES = default_suffix_table()
-    return _DEFAULT_SUFFIXES
-
-
 def _is_devanagari(token: str) -> bool:
+    # A token holding punctuation is not stemmed: stripping a suffix could
+    # leave the punctuation at its edge, where tokenize would split it off.
     return bool(token) and all(
-        _DEVANAGARI_LO <= ord(c) <= _DEVANAGARI_HI for c in token
+        _DEVANAGARI_LO <= ord(c) <= _DEVANAGARI_HI and c not in _DEVANAGARI_PUNCT
+        for c in token
     )
 
 
@@ -162,7 +165,7 @@ def stem_hindi(word: str, suffixes: tuple[str, ...] | None = None) -> str:
     pass through unchanged.
     """
     if suffixes is None:
-        suffixes = _suffixes()
+        suffixes = default_suffix_table()
     if not _is_devanagari(word):
         return word
     while True:
@@ -202,30 +205,19 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-# Adversarial inputs (case-mixed repeats, stacked mentions) need a second
-# round before the token stream stabilizes; the cap only guards pathology.
-_MAX_ROUNDS = 8
-
-
-def _preprocess_once(text: str, suffixes: tuple[str, ...] | None) -> list[str]:
-    text = html_unescape(text)
-    text = deidentify(text)
-    text = remove_invalid(text)
-    text = fix_repeats(text)
-    return [stem_hindi(tok, suffixes) for tok in tokenize(text)]
-
-
 def preprocess(text: str, suffixes: tuple[str, ...] | None = None) -> list[str]:
     """Full normalization pipeline; returns the token stream for one tweet.
 
-    The rule chain is applied in a fixed order and repeated until the token
-    stream is a fixed point, so preprocessing its own output is always a
-    no-op.
+    The string rules (entities, placeholders, junk, repeats, lowercasing) are
+    applied in a fixed order until the text stops changing; tokenization and
+    stemming then run once. Preprocessing the joined output is a no-op.
     """
-    tokens = _preprocess_once(text, suffixes)
-    for _ in range(_MAX_ROUNDS - 1):
-        again = _preprocess_once(" ".join(tokens), suffixes)
-        if again == tokens:
+    # The loop ends: after the first round the text is lowercase, and any
+    # later round that changes it removes an "&" (an entity decoded), or keeps
+    # the "&" count and removes an "@", or keeps both counts and shortens it.
+    while True:
+        cleaned = fix_repeats(remove_invalid(deidentify(html_unescape(text)))).lower()
+        if cleaned == text:
             break
-        tokens = again
-    return tokens
+        text = cleaned
+    return [stem_hindi(tok, suffixes) for tok in tokenize(text)]

@@ -195,3 +195,60 @@ def test_fix_repeats_never_leaves_long_runs(text):
 @settings(max_examples=100, deadline=None)
 def test_deterministic(text):
     assert pp.preprocess(text) == pp.preprocess(text)
+
+
+# Inputs whose tokens changed on a second pass of the whole pipeline: the
+# string rules reach a fixed point before tokenizing, so one pass suffices.
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("X@b", ["xxatp"]),
+        ("a@@b", ["axxatp"]),
+        ("TTt", ["tt"]),
+        ("x&AMP;y", ["x&y"]),
+        ("HTTP://x.co", ["xxurl"]),
+        ("_t.co/x", ["_", "xxurl"]),
+        ("ht​tp://x", ["xxurl"]),
+        ("@​pal", ["xxatp"]),
+        ("&AMP;", ["&"]),
+        ("क।ि", ["क।ि"]),
+    ],
+)
+def test_one_pass_reaches_fixed_point(text, expected):
+    out = pp.preprocess(text)
+    assert out == expected
+    assert pp.preprocess(" ".join(out)) == out
+
+
+def test_tokenizes_once(monkeypatch):
+    calls = []
+    tokenize = pp.tokenize
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(pp, "tokenize", counting_tokenize)
+    assert pp.preprocess("RT @abc: X@b goooood &AMP; क।ि") == [
+        "xxrtu", "xxatp", "good", "&", "क।ि"
+    ]
+    assert len(calls) == 1
+
+
+_wide_texts = st.lists(
+    st.one_of(
+        _alphabet,
+        st.sampled_from(
+            list("ABCHPTUL_") + ["।", "॥", "॰", "‌", "‍"]
+            + ["&AMP;", "&#8203;", "HTTP://", "<BR>", "@-@", "RT @a"]
+        ),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@given(_wide_texts)
+@settings(max_examples=300, deadline=None)
+def test_pipeline_idempotent_wide_alphabet(text):
+    out = pp.preprocess(text)
+    assert pp.preprocess(" ".join(out)) == out
