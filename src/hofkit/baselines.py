@@ -110,7 +110,10 @@ def mnb_predict(model: MnbModel, x: np.ndarray) -> tuple:
     (N, 2), indexed by label.
     """
     scores = x @ model.log_lik.T + model.log_prior
-    return np.where(scores[..., HOF] >= scores[..., NOT], HOF, NOT), scores
+    # scores within rounding of each other tie, and ties go to HOF; the
+    # tolerance is relative, so scaling x scales it with the scores
+    tie = 1e-12 * np.abs(scores).max(axis=-1)
+    return np.where(scores[..., HOF] >= scores[..., NOT] - tie, HOF, NOT), scores
 
 
 # -- ridge classifier --------------------------------------------------------

@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import baselines, cnn, corpus, embedding
+from .fileio import atomic_open
 from .metrics import (
     confusion,
     confusion_to_tsv,
@@ -95,7 +96,7 @@ def _suffix_table(args, config):
 def cmd_preprocess(args) -> int:
     config = _load_config(args.config)
     ds = corpus.load_tsv(args.input, _suffix_table(args, config))
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with atomic_open(args.output) as fh:
         for ex in ds:
             fh.write(" ".join(ex.tokens) + "\n")
     print(f"wrote {len(ds)} token streams to {args.output}")
@@ -165,7 +166,7 @@ def _train_config_from(args, config: dict, seed: int) -> cnn.TrainConfig:
 
 
 def _write_history(path, history) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("epoch\ttrain_loss\tval_macro_f1\n")
         for epoch, loss, f1 in history:
             fh.write(f"{epoch}\t{loss:.6f}\t{f1:.6f}\n")
@@ -207,7 +208,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model_and_vocab(args):
-    matrix, vocab = embedding.load_text(args.embeddings)
+    vocab = embedding.load_words(args.embeddings)
     model = cnn.load_checkpoint(args.checkpoint, vocab)
     if model.params["emb"].shape[0] != len(vocab):
         raise ValueError(
@@ -239,7 +240,7 @@ def cmd_predict(args) -> int:
     model, vocab = _load_model_and_vocab(args)
     ds = corpus.load_tsv(args.data, _suffix_table(args, config))
     probs = model.predict_proba([ex.ids for ex in corpus.encode_dataset(ds, vocab)])
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_open(args.out) as fh:
         fh.write("id\tlabel\tprobability\n")
         for ex, p in zip(ds, probs):
             label = corpus.ID_TO_LABEL[1 if p >= 0.5 else 0]
@@ -284,7 +285,7 @@ def cmd_cv(args) -> int:
     lines.append(f"mean\t{sum(scores) / len(scores):.6f}")
     table = "\n".join(lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out) as fh:
             fh.write(table + "\n")
     print(table)
     return 0
@@ -322,7 +323,7 @@ def cmd_baseline(args) -> int:
         lines.append("\t".join(cells))
     table = "\n".join(lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out) as fh:
             fh.write(table + "\n")
     print(table)
     return 0

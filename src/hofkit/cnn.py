@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import EncodedExample, PAD_ID, Vocabulary
+from .fileio import atomic_open
 from .layers import dense_backward, dense_forward, dropout_mask, run_epoch
 from .metrics import macro_f1
 from .seeding import derived_rng
@@ -170,6 +171,18 @@ def bce_loss(p, y):
     return -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
 
 
+def _first_argmax(bank: dict) -> np.ndarray:
+    """Per tweet and filter, the least window whose ReLU value equals the pooled max.
+
+    ``bank`` is one filter height's entry of the saved forward intermediates;
+    the result holds packed window indices, shape (tweets, filters).
+    """
+    z, pooled, first = bank["z"], bank["pooled"], bank["first"]
+    window = np.arange(len(z))[:, None]
+    hits = np.maximum(z, 0.0) == np.repeat(pooled, bank["counts"], axis=0)
+    return np.minimum.reduceat(np.where(hits, window, len(z)), first, axis=0)
+
+
 class CnnModel:
     """Parameter container plus forward/backward passes.
 
@@ -264,15 +277,12 @@ class CnnModel:
             rows = np.flatnonzero(room >= h)  # window starts
             s = x[rows[:, None] + np.arange(h)].reshape(len(rows), h * n)
             z = s @ p[f"conv{h}_w"].T + p[f"conv{h}_b"]
-            a = np.maximum(z, 0.0)
             counts = lengths - h + 1
             first = np.cumsum(counts) - counts
-            pooled = np.maximum.reduceat(a, first, axis=0)
-            # first argmax: the least window index among those that hit the max
-            window = np.arange(len(rows))[:, None]
-            hits = np.where(a == np.repeat(pooled, counts, axis=0), window, len(rows))
-            arg = np.minimum.reduceat(hits, first, axis=0)
-            saved[h] = {"rows": rows, "s": s, "z": z, "argmax": arg}
+            # ReLU is monotone, so it commutes with the max: pool, then clip
+            pooled = np.maximum(np.maximum.reduceat(z, first, axis=0), 0.0)
+            saved[h] = {"rows": rows, "s": s, "z": z, "pooled": pooled, "first": first,
+                        "counts": counts}
             pooled_parts.append(pooled)
 
         acts, zs = dense_forward(np.concatenate(pooled_parts, axis=1), self._head(), head_masks)
@@ -343,7 +353,8 @@ class CnnModel:
         for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
             dpooled = dpooled_all[:, offset : offset + count]
             offset += count
-            z, arg, rows = saved[h]["z"], saved[h]["argmax"], saved[h]["rows"]
+            z, rows = saved[h]["z"], saved[h]["rows"]
+            arg = _first_argmax(saved[h])
             cols = np.arange(count)
             dz = np.zeros_like(z)
             dz[arg, cols] = dpooled * (z[arg, cols] > 0)
@@ -473,7 +484,7 @@ def save_checkpoint(model: CnnModel, path, vocab_fingerprint: str = "") -> None:
         f"vocab_hash {vocab_fingerprint}",
         "end",
     ]
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         for key in PARAM_ORDER:
             fh.write(np.ascontiguousarray(model.params[key], dtype="<f4").tobytes())

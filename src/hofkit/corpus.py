@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from .fileio import atomic_open
 from .preprocess import preprocess
 from .seeding import derived_rng
 
@@ -158,7 +159,7 @@ class Vocabulary:
 
     def save(self, path) -> None:
         """Dump as UTF-8 lines ``word<TAB>count`` in id order."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for w in self.words:
                 fh.write(f"{w}\t{self.counts.get(w, 0)}\n")
 

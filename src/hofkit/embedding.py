@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import EncodedExample, Vocabulary, PAD_TOKEN, UNK_TOKEN
+from .fileio import atomic_open
 from .seeding import derived_rng
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "nearest",
     "save_text",
     "load_text",
+    "load_words",
     "cbow_window_loss_grads",
     "skipgram_pair_loss_grads",
 ]
@@ -258,44 +260,66 @@ def save_text(matrix: EmbeddingMatrix, vocab: Vocabulary, path) -> None:
     w_in = matrix.w_in
     if len(vocab) != w_in.shape[0]:
         raise ValueError("vocabulary size does not match matrix rows")
-    with open(path, "w", encoding="utf-8") as fh:
+    row_format = " ".join(["%.8f"] * w_in.shape[1])
+    with atomic_open(path) as fh:
         fh.write(f"{w_in.shape[0]} {w_in.shape[1]}\n")
-        for wid, word in enumerate(vocab.words):
-            values = " ".join(f"{x:.8f}" for x in w_in[wid])
-            fh.write(f"{word} {values}\n")
+        for word, row in zip(vocab.words, w_in):
+            fh.write(f"{word} {row_format % tuple(row.tolist())}\n")
+
+
+def _read_header(fh) -> tuple[int, int]:
+    header = fh.readline().split()
+    if len(header) != 2:
+        raise ValueError(f"malformed header {header!r}, expected 'V dim'")
+    try:
+        return int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"malformed header {header!r}, expected 'V dim'") from None
+
+
+def load_words(path) -> Vocabulary:
+    """The vocabulary of a text-format vectors file, without parsing its values.
+
+    Checks the header, the row count and the columns of every row as
+    ``load_text`` does. Files produced elsewhere may lack the reserved
+    pad/unknown words; those get prepended so ids 0/1 keep their meaning.
+    """
+    with open(path, encoding="utf-8") as fh:
+        v, dim = _read_header(fh)
+        words = []
+        for lineno, line in enumerate(fh, start=2):
+            if line.count(" ") != dim:
+                raise ValueError(
+                    f"expected {dim + 1} columns, got {line.count(' ') + 1}, line {lineno}"
+                )
+            words.append(line.partition(" ")[0].rstrip("\n"))
+    if len(words) != v:
+        raise ValueError(f"header declares {v} rows but file has {len(words)}")
+    if words[:2] != [PAD_TOKEN, UNK_TOKEN]:
+        words = [w for w in (PAD_TOKEN, UNK_TOKEN) if w not in words] + words
+    return Vocabulary(words, {w: 0 for w in words}, min_count=0)
 
 
 def load_text(path) -> tuple[EmbeddingMatrix, Vocabulary]:
     """Load text-format vectors; returns input vectors only plus the vocabulary.
 
-    Files produced elsewhere may lack the reserved pad/unknown words; those
-    get prepended with zero vectors so ids 0/1 keep their meaning.
+    The reserved words ``load_words`` prepends get zero vectors.
     """
+    vocab = load_words(path)
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"malformed header {header!r}, expected 'V dim'")
-        try:
-            v, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise ValueError(f"malformed header {header!r}, expected 'V dim'") from None
-        words = []
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise ValueError(
-                    f"expected {dim + 1} columns, got {len(parts)}, line {lineno}"
-                )
-            words.append(parts[0])
-            rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
-    if len(words) != v:
-        raise ValueError(f"header declares {v} rows but file has {len(words)}")
-    w_in = np.array(rows, dtype=np.float64).reshape(len(words), dim)
-    if words[:2] != [PAD_TOKEN, UNK_TOKEN]:
-        reserved = [w for w in (PAD_TOKEN, UNK_TOKEN) if w not in words]
-        words = reserved + words
-        w_in = np.vstack([np.zeros((len(reserved), dim)), w_in])
-    counts = {w: 0 for w in words}
-    vocab = Vocabulary(words, counts, min_count=0)
+        v, dim = _read_header(fh)
+        if v and dim:  # else no values: loadtxt would warn (V 0) or drop empty words (dim 0)
+            w_in = np.loadtxt(
+                fh,
+                comments=None,  # a word may start with "#"
+                delimiter=" ",
+                usecols=range(1, dim + 1),
+                dtype=np.float64,
+                ndmin=2,
+            )
+        else:
+            w_in = np.zeros((v, dim))
+    reserved = len(vocab) - v
+    if reserved:
+        w_in = np.vstack([np.zeros((reserved, dim)), w_in])
     return EmbeddingMatrix(w_in, None), vocab

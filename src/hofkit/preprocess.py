@@ -67,10 +67,9 @@ _NAMED_ENTITIES = {
 }
 _ENTITY_RE = re.compile(r"&(#[0-9]+|#[xX][0-9a-fA-F]+|[a-zA-Z]+);")
 
-_DEVANAGARI_LO = 0x0900
-_DEVANAGARI_HI = 0x097F
-# Danda, double danda and abbreviation sign: Devanagari, but punctuation.
-_DEVANAGARI_PUNCT = "\u0964\u0965\u0970"
+# The Devanagari block U+0900-U+097F without its punctuation: danda (U+0964),
+# double danda (U+0965) and the abbreviation sign (U+0970).
+_DEVANAGARI_RE = re.compile("[\u0900-\u0963\u0966-\u096f\u0971-\u097f]+")
 
 
 def html_unescape(text: str) -> str:
@@ -150,16 +149,23 @@ def default_suffix_table() -> tuple[str, ...]:
 def _is_devanagari(token: str) -> bool:
     # A token holding punctuation is not stemmed: stripping a suffix could
     # leave the punctuation at its edge, where tokenize would split it off.
-    return bool(token) and all(
-        _DEVANAGARI_LO <= ord(c) <= _DEVANAGARI_HI and c not in _DEVANAGARI_PUNCT
-        for c in token
-    )
+    return _DEVANAGARI_RE.fullmatch(token) is not None
+
+
+@functools.lru_cache(maxsize=8)
+def _suffix_index(suffixes: tuple[str, ...]) -> tuple[dict, tuple[int, ...]]:
+    """Each distinct suffix's first position in the table, and the lengths longest first."""
+    position: dict[str, int] = {}
+    for pos, suf in enumerate(suffixes):
+        position.setdefault(suf, pos)
+    return position, tuple(sorted({len(suf) for suf in position}, reverse=True))
 
 
 def stem_hindi(word: str, suffixes: tuple[str, ...] | None = None) -> str:
     """Suffix-stripping stemmer for Devanagari tokens.
 
-    Repeatedly strips the longest matching table suffix while the remaining
+    Repeatedly strips the matching suffix that comes first in the table
+    (the longest, for tables from ``load_suffix_table``) while the remaining
     stem keeps at least one character; iterating to a fixed point makes
     stemming idempotent, which the pipeline relies on. Non-Devanagari tokens
     pass through unchanged.
@@ -168,13 +174,18 @@ def stem_hindi(word: str, suffixes: tuple[str, ...] | None = None) -> str:
         suffixes = default_suffix_table()
     if not _is_devanagari(word):
         return word
+    position, lengths = _suffix_index(suffixes)
     while True:
-        for suf in suffixes:
-            if len(word) > len(suf) and word.endswith(suf):
-                word = word[: -len(suf)]
-                break
-        else:
+        # one lookup per suffix length finds every matching suffix
+        best = None
+        for n in lengths:
+            if n < len(word):
+                pos = position.get(word[len(word) - n :])
+                if pos is not None and (best is None or pos < best):
+                    best = pos
+        if best is None:
             return word
+        word = word[: -len(suffixes[best])]
 
 
 def _split_punct(token: str) -> list[str]:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hofkit import corpus
@@ -95,6 +95,9 @@ class TestMnb:
             mnb_train([EncodedExample((2,), 1), EncodedExample((3,), 0)], 4, alpha=0.0)
 
     @given(st.integers(1, 50), st.integers(0, 2**31 - 1))
+    @example(scale=3, seed=337050)  # exact ties, decided by rounding before the tolerance
+    @example(scale=3, seed=154577)
+    @example(scale=3, seed=17895)
     @settings(max_examples=50, deadline=None)
     def test_count_scaling_invariance_with_equal_priors(self, scale, seed):
         rng = derived_rng(seed, "mnb-scale")

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hofkit import cli, cnn, corpus, embedding
 from hofkit.seeding import derived_rng, derived_seeds
@@ -421,6 +427,135 @@ class TestEvalAndPredictCmds:
             p = model.forward(corpus.encode(ex.tokens, vocab).ids)
             want.append(f"{ex.tweet_id}\t{'HOF' if p >= 0.5 else 'NOT'}\t{p:.6f}")
         assert out.read_text(encoding="utf-8").splitlines()[1:] == want
+
+
+def _load_text_by_line(path):
+    """Reference vectors reader: split every line and parse each value with float()."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError("malformed header")
+        v, dim = int(header[0]), int(header[1])
+        words, rows = [], []
+        for line in fh:
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) != dim + 1:
+                raise ValueError("wrong column count")
+            words.append(parts[0])
+            rows.append([float(x) for x in parts[1:]])
+    if len(words) != v:
+        raise ValueError("wrong row count")
+    w_in = np.array(rows, dtype=np.float64).reshape(v, dim)
+    if words[:2] != ["xxpad", "xxunk"]:
+        reserved = [w for w in ("xxpad", "xxunk") if w not in words]
+        words = reserved + words
+        w_in = np.vstack([np.zeros((len(reserved), dim)), w_in])
+    return w_in, words
+
+
+def _run_quietly(argv):
+    """Exit code and standard error of one in-process hofkit command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+_JUNK = st.one_of(
+    st.binary(max_size=6),
+    st.sampled_from([b" ", b"  ", b"\n", b"\r", b"x", b"#", b"nan", b"-", b"1e999", b"\xff"]),
+)
+
+
+class TestGarbledVectorsFile:
+    """Every garbled or truncated vectors file gives success or exactly one error line."""
+
+    @staticmethod
+    def _workspace(root: Path):
+        data = make_labelled_tsv(root / "train.tsv")
+        ds = corpus.load_tsv(data)
+        vocab = corpus.build_vocab(ds.token_streams(), min_count=1)
+        w_in = derived_rng(0, "fuzz-vectors").normal(size=(len(vocab), 4))
+        vectors = root / "vectors.txt"
+        embedding.save_text(embedding.EmbeddingMatrix(w_in), vocab, vectors)
+        cfg = cnn.CnnConfig(embed_dim=4, filter_counts=(2, 2, 4), dense_units=8, m_max=16)
+        ckpt = root / "model.ckpt"
+        cnn.save_checkpoint(cnn.CnnModel.init(w_in, cfg, seed=0), ckpt, cnn.vocab_hash(vocab))
+        config = root / "config.json"
+        config.write_text(json.dumps({
+            "model": {"filter_counts": [2, 2, 4], "dense_units": 8, "m_max": 16},
+            "train": {"epochs": 1, "batch_size": 8, "patience": 1},
+        }), encoding="utf-8")
+        return data, vectors, ckpt, config
+
+    @staticmethod
+    def _assert_one_outcome(rc, err, out: Path):
+        if rc == 0:
+            assert err == "" and out.exists()
+        else:
+            assert rc == 1 and err.startswith("error:") and err.count("\n") == 1, err
+            assert not out.exists()
+        assert not [p.name for p in out.parent.iterdir() if p.name.endswith(".tmp")]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_readers_and_commands(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            tsv, vectors, ckpt, config = self._workspace(root)
+            raw = vectors.read_bytes()
+            pos = data.draw(st.integers(0, len(raw)), label="pos")
+            edit = data.draw(st.sampled_from(["truncate", "replace", "insert"]), label="edit")
+            junk = b"" if edit == "truncate" else data.draw(_JUNK, label="junk")
+            tail = raw[pos + len(junk):] if edit == "replace" else raw[pos:]
+            vectors.write_bytes(raw[:pos] + junk + (b"" if edit == "truncate" else tail))
+
+            try:
+                words = embedding.load_words(vectors).words
+            except ValueError:
+                words = None
+            try:
+                matrix, vocab = embedding.load_text(vectors)
+            except ValueError:
+                matrix = None
+            if matrix is not None:  # the values parser accepts no more than float() does
+                want_w_in, want_words = _load_text_by_line(vectors)
+                assert vocab.words == want_words == words
+                assert np.array_equal(matrix.w_in, want_w_in, equal_nan=True)
+
+            out = root / "preds.tsv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a vocabulary mismatch warns
+                rc, err = _run_quietly(["predict", str(ckpt), str(tsv), "--embeddings",
+                                        str(vectors), "--out", str(out)])
+            self._assert_one_outcome(rc, err, out)
+            if words is None:
+                assert rc == 1
+
+            out = root / "trained.ckpt"
+            rc, err = _run_quietly(["train", "--config", str(config), "--data", str(tsv),
+                                    "--embeddings", str(vectors), "--out", str(out),
+                                    "--seed", "1"])
+            self._assert_one_outcome(rc, err, out)
+            if matrix is None:
+                assert rc == 1
+
+    def test_predict_does_not_parse_the_values(self, tmp_path):
+        tsv, vectors, ckpt, config = self._workspace(tmp_path)
+        clean = tmp_path / "clean.tsv"
+        assert cli.main(["predict", str(ckpt), str(tsv), "--embeddings", str(vectors),
+                         "--out", str(clean)]) == 0
+        lines = vectors.read_text(encoding="utf-8").split("\n")
+        lines[3] = " ".join([lines[3].split(" ")[0], "not-a-number"] + lines[3].split(" ")[2:])
+        vectors.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        assert cli.main(["predict", str(ckpt), str(tsv), "--embeddings", str(vectors),
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == clean.read_bytes()
+        rc, err = _run_quietly(["train", "--config", str(config), "--data", str(tsv),
+                                "--embeddings", str(vectors), "--out", str(tmp_path / "m.ckpt"),
+                                "--seed", "1"])
+        assert rc == 1 and "not-a-number" in err and err.count("\n") == 1
 
 
 class TestCvCmd:

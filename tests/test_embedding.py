@@ -8,6 +8,7 @@ from hofkit.embedding import (
     cbow_window_loss_grads,
     cosine,
     load_text,
+    load_words,
     nearest,
     save_text,
     skipgram_pair_loss_grads,
@@ -269,3 +270,47 @@ class TestTextFormat:
         assert m.w_in.shape == (4, 2)
         assert not m.w_in[:2].any()
         assert m.w_in[2].tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2 2\nxxpad 0 0\nxxunk 0 0\n", "2 2\nhello 1 2\n#tag 3 4\n", "2 2\nxxunk 1 2\na 3 4\n"],
+    )
+    def test_load_words_gives_the_words_of_load_text(self, tmp_path, text):
+        p = tmp_path / "vec.txt"
+        p.write_text(text, encoding="utf-8")
+        assert load_words(p).words == load_text(p)[1].words
+
+    def test_hash_words_are_not_comments(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        p.write_text("2 2\n#tag 1 2\n# 3 4\n", encoding="utf-8")
+        m, vocab = load_text(p)
+        assert vocab.words[2:] == ["#tag", "#"]
+        assert m.w_in[2:].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_load_words_keeps_the_checks(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        for text, needle in [
+            ("not a header\n", "header"),
+            ("5 2\nxxpad 0 0\n", "declares 5 rows but file has 1"),
+            ("1 3\nxxpad 0 0\n", "expected 4 columns, got 3, line 2"),
+        ]:
+            p.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=needle):
+                load_words(p)
+
+    def test_load_words_ignores_the_values(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        p.write_text("2 2\nxxpad 0 0\nxxunk zero 0\n", encoding="utf-8")
+        assert load_words(p).words == ["xxpad", "xxunk"]
+        with pytest.raises(ValueError, match="zero"):
+            load_text(p)
+
+    def test_save_text_format_is_eight_decimals(self, tmp_path):
+        vocab = corpus.build_vocab([["a"]], 1)
+        w_in = np.array([[0.0, -0.0, 1.5], [1e-9, -2.5e-9, 123.456789125], [np.nan, np.inf, -1.0]])
+        p = tmp_path / "vec.txt"
+        save_text(EmbeddingMatrix(w_in), vocab, p)
+        want = "".join(
+            f"{w} " + " ".join(f"{x:.8f}" for x in row) + "\n" for w, row in zip(vocab.words, w_in)
+        )
+        assert p.read_text(encoding="utf-8") == "3 3\n" + want

@@ -82,6 +82,25 @@ class TestHtmlUnescape:
         assert pp.html_unescape("&#xD7FF;&#xE000;") == "\ud7ff\ue000"
 
 
+_devanagari = [chr(c) for c in range(0x0900, 0x0980)]
+_few_devanagari = st.sampled_from(["क", "ा", "ि", "त"])  # few letters: suffixes often match
+
+
+def _scan_stem(word, suffixes):
+    """Reference stemmer: scan the table in order for every strip."""
+    if not word or not all(
+        0x0900 <= ord(c) <= 0x097F and c not in "\u0964\u0965\u0970" for c in word
+    ):
+        return word
+    while True:
+        for suf in suffixes:
+            if len(word) > len(suf) and word.endswith(suf):
+                word = word[: -len(suf)]
+                break
+        else:
+            return word
+
+
 class TestStemHindi:
     def test_longest_suffix_stripped(self):
         assert pp.stem_hindi("लड़कियाँ") == "लड़क"
@@ -104,6 +123,23 @@ class TestStemHindi:
         suffixes = pp.load_suffix_table(table)
         assert suffixes == ("ता",)
         assert pp.stem_hindi("खाता", suffixes) == "खा"
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_matches_table_scan(self, data):
+        # unsorted tables with duplicates: the first matching entry in table order wins
+        table = data.draw(st.lists(st.text(alphabet=_few_devanagari, max_size=4), max_size=12))
+        stem = data.draw(st.text(alphabet=st.sampled_from(_devanagari + ["a"]), max_size=3))
+        tails = data.draw(st.lists(st.sampled_from(table), max_size=3)) if table else []
+        word = stem + "".join(tails)
+        for suffixes in (tuple(table), pp.default_suffix_table()):
+            assert pp.stem_hindi(word, suffixes) == _scan_stem(word, suffixes)
+
+    def test_default_table_matches_table_scan_on_its_own_entries(self):
+        suffixes = pp.default_suffix_table()
+        for suf in suffixes:
+            for word in ("क" + suf, "कम" + suf + suf, suf):
+                assert pp.stem_hindi(word) == _scan_stem(word, suffixes)
 
 
 class TestTokenize:
