@@ -50,18 +50,20 @@ class BowFeaturizer:
         self.idf: Optional[np.ndarray] = None
 
     def fit(self, examples: Sequence[EncodedExample]) -> "BowFeaturizer":
-        df = np.zeros(self.vocab_size, dtype=np.float64)
-        for ex in examples:
-            for wid in set(ex.ids):
-                df[wid] += 1.0
-        n = len(examples)
-        self.idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
+        df = (self._counts(examples) > 0).sum(axis=0)
+        self.idf = np.log((1.0 + len(examples)) / (1.0 + df)) + 1.0
         return self
 
     def matrix(self, examples: Sequence[EncodedExample]) -> np.ndarray:
         """(N, V) bag-of-words matrix: token counts, times idf under tfidf."""
         if self.scheme == "tfidf" and self.idf is None:
             raise RuntimeError("featurizer must be fit before tfidf transform")
+        out = self._counts(examples)
+        if self.scheme == "tfidf":
+            out *= self.idf
+        return out
+
+    def _counts(self, examples: Sequence[EncodedExample]) -> np.ndarray:
         out = np.zeros((len(examples), self.vocab_size), dtype=np.float64)
         lengths = [len(ex.ids) for ex in examples]
         rows = np.repeat(np.arange(len(examples)), lengths)
@@ -69,8 +71,6 @@ class BowFeaturizer:
             itertools.chain.from_iterable(ex.ids for ex in examples), np.intp, sum(lengths)
         )
         np.add.at(out, (rows, cols), 1.0)
-        if self.scheme == "tfidf":
-            out *= self.idf
         return out
 
 
@@ -84,22 +84,18 @@ class MnbModel:
     alpha: float
 
 
-def mnb_train(
-    examples: Sequence[EncodedExample], vocab_size: int, alpha: float = 1.0
-) -> MnbModel:
+def mnb_train(x: np.ndarray, labels: Sequence[int], alpha: float = 1.0) -> MnbModel:
+    """Fit on an (N, V) token-count matrix and its N labels."""
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    counts = np.zeros((2, vocab_size), dtype=np.float64)
-    class_n = np.zeros(2, dtype=np.float64)
-    for ex in examples:
-        class_n[ex.label] += 1.0
-        for wid in ex.ids:
-            counts[ex.label, wid] += 1.0
+    onehot = (np.asarray(labels)[:, None] == [NOT, HOF]).astype(np.float64)  # (N, 2)
+    class_n = onehot.sum(axis=0)
     if class_n.min() == 0:
         raise ValueError("both classes must appear in the training data")
+    counts = onehot.T @ x  # per-class sums of whole numbers: exact in any order
     log_prior = np.log(class_n / class_n.sum())
     totals = counts.sum(axis=1, keepdims=True)
-    log_lik = np.log(counts + alpha) - np.log(totals + alpha * vocab_size)
+    log_lik = np.log(counts + alpha) - np.log(totals + alpha * x.shape[1])
     return MnbModel(log_prior, log_lik, alpha)
 
 
@@ -126,52 +122,19 @@ class RidgeModel:
     lam: float
 
 
-def _cg_solve(matvec, b: np.ndarray, diag: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradient for an SPD system."""
-    precond = np.where(diag > 0, diag, 1.0)
-    x = np.zeros_like(b)
-    r = b - matvec(x)
-    z = r / precond
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(max_iter):
-        if float(np.linalg.norm(r)) < tol:
-            return x
-        ap = matvec(p)
-        alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        z = r / precond
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if float(np.linalg.norm(r)) < tol:
-        return x
-    raise RuntimeError(f"conjugate gradient did not converge in {max_iter} iterations")
-
-
 def ridge_train(x: np.ndarray, y: np.ndarray, lam: float) -> RidgeModel:
     """L2-penalized least squares on +/-1 targets, bias unpenalized.
 
-    Solves the normal equations with conjugate gradient; the stopping
-    residual is 1e-8 (relative to ||b|| for conditioning) and the iteration
-    budget is 10 per unknown.
+    Centring x and y eliminates the bias; the weights then come from one
+    direct solve of the n x n dual system (Xc Xc' + lam I) a = yc, w = Xc' a.
     """
     if lam <= 0:
         raise ValueError("lambda must be > 0")
-    n, v = x.shape
-    xa = np.hstack([x, np.ones((n, 1))])  # bias column last
-    rhs = xa.T @ y
-    penalty = np.full(v + 1, lam)
-    penalty[-1] = 0.0  # bias unpenalized
-
-    def matvec(w):
-        return xa.T @ (xa @ w) + penalty * w
-
-    tol = 1e-8 * max(1.0, float(np.linalg.norm(rhs)))
-    diag = (xa * xa).sum(axis=0) + penalty
-    w = _cg_solve(matvec, rhs, diag, tol, max_iter=10 * (v + 1))
-    return RidgeModel(w[:-1], float(w[-1]), lam)
+    mean_x, mean_y = x.mean(axis=0), float(y.mean())
+    xc = x - mean_x
+    a = np.linalg.solve(xc @ xc.T + lam * np.eye(len(y)), y - mean_y)
+    w = xc.T @ a
+    return RidgeModel(w, mean_y - float(mean_x @ w), lam)
 
 
 def ridge_predict(model: RidgeModel, x: np.ndarray) -> np.ndarray:
@@ -350,11 +313,10 @@ class _BaselineWrapper:
     def fit(self, examples: Sequence[EncodedExample]) -> "_BaselineWrapper":
         p = self.params
         labels = [ex.label for ex in examples]
-        if self.family == "mnb":
-            self._fitted = mnb_train(examples, self.vocab_size, p.get("alpha", 1.0))
-            return self
         x = self._featurizer.fit(examples).matrix(examples)
-        if self.family == "ridge":
+        if self.family == "mnb":
+            self._fitted = mnb_train(x, labels, p.get("alpha", 1.0))
+        elif self.family == "ridge":
             y = np.where(np.asarray(labels) == HOF, 1.0, -1.0)
             self._fitted = ridge_train(x, y, p.get("lambda", 1.0))
         elif self.family == "knn":

@@ -211,8 +211,13 @@ class CnnModel:
     ) -> "CnnModel":
         """Glorot-uniform weights, zero biases; embedding copied with pad row zeroed."""
         rng = derived_rng(seed, "cnn-init")
-        params = {"emb": np.array(embedding, dtype=dtype)}
+        with np.errstate(over="ignore"):  # a value out of dtype range becomes inf, caught below
+            params = {"emb": np.array(embedding, dtype=dtype)}
         params["emb"][PAD_ID] = 0.0
+        if not np.isfinite(params["emb"]).all():
+            raise ValueError(
+                f"embedding values must be finite and fit in {np.dtype(dtype).name}"
+            )
         for key, shape in list(_param_shapes(cfg, len(embedding)).items())[1:]:  # all but emb
             if key.endswith("_b"):
                 params[key] = np.zeros(shape, dtype=dtype)
@@ -288,7 +293,8 @@ class CnnModel:
         acts, zs = dense_forward(np.concatenate(pooled_parts, axis=1), self._head(), head_masks)
         logit = zs[1][:, 0].astype(np.float64)
         saved.update(acts=acts, zs=zs, zd=zs[0])
-        return 1.0 / (1.0 + np.exp(-logit)), saved
+        with np.errstate(over="ignore"):  # exp(-logit) = inf gives exactly 0.0
+            return 1.0 / (1.0 + np.exp(-logit)), saved
 
     def _head(self) -> list:
         """The dense ReLU layer and the output logit as one layer stack."""

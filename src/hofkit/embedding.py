@@ -277,6 +277,30 @@ def _read_header(fh) -> tuple[int, int]:
         raise ValueError(f"malformed header {header!r}, expected 'V dim'") from None
 
 
+def _rows(fh, v: int, dim: int, words: list):
+    """Yield each row line of a vectors file and append its word to ``words``.
+
+    Checks the columns of every row and, once the file is drained, the row
+    count, so a file with no rows fails here before a parser sees it empty.
+    """
+    for lineno, line in enumerate(fh, start=2):
+        if line.count(" ") != dim:
+            raise ValueError(
+                f"expected {dim + 1} columns, got {line.count(' ') + 1}, line {lineno}"
+            )
+        words.append(line.partition(" ")[0].rstrip("\n"))
+        yield line
+    if len(words) != v:
+        raise ValueError(f"header declares {v} rows but file has {len(words)}")
+
+
+def _vocabulary(words: list) -> Vocabulary:
+    """The words in file order, after the reserved words the file lacks."""
+    if words[:2] != [PAD_TOKEN, UNK_TOKEN]:
+        words = [w for w in (PAD_TOKEN, UNK_TOKEN) if w not in words] + words
+    return Vocabulary(words, {w: 0 for w in words}, min_count=0)
+
+
 def load_words(path) -> Vocabulary:
     """The vocabulary of a text-format vectors file, without parsing its values.
 
@@ -284,33 +308,28 @@ def load_words(path) -> Vocabulary:
     ``load_text`` does. Files produced elsewhere may lack the reserved
     pad/unknown words; those get prepended so ids 0/1 keep their meaning.
     """
+    words = []
     with open(path, encoding="utf-8") as fh:
         v, dim = _read_header(fh)
-        words = []
-        for lineno, line in enumerate(fh, start=2):
-            if line.count(" ") != dim:
-                raise ValueError(
-                    f"expected {dim + 1} columns, got {line.count(' ') + 1}, line {lineno}"
-                )
-            words.append(line.partition(" ")[0].rstrip("\n"))
-    if len(words) != v:
-        raise ValueError(f"header declares {v} rows but file has {len(words)}")
-    if words[:2] != [PAD_TOKEN, UNK_TOKEN]:
-        words = [w for w in (PAD_TOKEN, UNK_TOKEN) if w not in words] + words
-    return Vocabulary(words, {w: 0 for w in words}, min_count=0)
+        for _ in _rows(fh, v, dim, words):
+            pass
+    return _vocabulary(words)
 
 
 def load_text(path) -> tuple[EmbeddingMatrix, Vocabulary]:
     """Load text-format vectors; returns input vectors only plus the vocabulary.
 
-    The reserved words ``load_words`` prepends get zero vectors.
+    The file is read once: ``np.loadtxt`` parses the values of the rows that
+    the ``load_words`` checks pass. The reserved words ``load_words``
+    prepends get zero vectors.
     """
-    vocab = load_words(path)
+    words = []
     with open(path, encoding="utf-8") as fh:
         v, dim = _read_header(fh)
+        rows = _rows(fh, v, dim, words)
         if v and dim:  # else no values: loadtxt would warn (V 0) or drop empty words (dim 0)
             w_in = np.loadtxt(
-                fh,
+                rows,
                 comments=None,  # a word may start with "#"
                 delimiter=" ",
                 usecols=range(1, dim + 1),
@@ -318,7 +337,10 @@ def load_text(path) -> tuple[EmbeddingMatrix, Vocabulary]:
                 ndmin=2,
             )
         else:
+            for _ in rows:
+                pass
             w_in = np.zeros((v, dim))
+    vocab = _vocabulary(words)
     reserved = len(vocab) - v
     if reserved:
         w_in = np.vstack([np.zeros((reserved, dim)), w_in])

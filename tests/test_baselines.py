@@ -25,6 +25,42 @@ from hofkit.seeding import derived_rng
 from gradcheck import finite_difference, group_relative_error
 
 
+def _counts_and_labels(examples, vocab_size):
+    """The count matrix and the labels ``mnb_train`` takes."""
+    return BowFeaturizer(vocab_size, "count").matrix(examples), [ex.label for ex in examples]
+
+
+def _mnb_train_oracle(examples, vocab_size, alpha):
+    """MNB fit token by token: the oracle for ``mnb_train`` on a count matrix."""
+    counts = np.zeros((2, vocab_size))
+    class_n = np.zeros(2)
+    for ex in examples:
+        class_n[ex.label] += 1.0
+        for wid in ex.ids:
+            counts[ex.label, wid] += 1.0
+    log_prior = np.log(class_n / class_n.sum())
+    totals = counts.sum(axis=1, keepdims=True)
+    return log_prior, np.log(counts + alpha) - np.log(totals + alpha * vocab_size)
+
+
+def _idf_oracle(examples, vocab_size):
+    """Document frequency from each example's set of ids: the oracle for ``fit``."""
+    df = np.zeros(vocab_size)
+    for ex in examples:
+        for wid in set(ex.ids):
+            df[wid] += 1.0
+    return np.log((1.0 + len(examples)) / (1.0 + df)) + 1.0
+
+
+def _random_examples(rng, n, vocab_size):
+    """n examples of 0-7 ids (repeats likely), labels alternating from HOF."""
+    return [
+        EncodedExample(tuple(int(t) for t in rng.integers(0, vocab_size, rng.integers(0, 8))),
+                       1 - i % 2)
+        for i in range(n)
+    ]
+
+
 class TestFeaturize:
     def test_counts(self):
         f = BowFeaturizer(6, "count")
@@ -46,6 +82,12 @@ class TestFeaturize:
         f = BowFeaturizer(6, "tfidf").fit(docs)
         assert f.idf[3] > f.idf[2]
 
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 30), st.integers(1, 20))
+    @settings(max_examples=50, deadline=None)
+    def test_idf_matches_set_loop(self, seed, n, vocab):
+        docs = _random_examples(derived_rng(seed, "idf"), n, vocab)
+        assert np.array_equal(BowFeaturizer(vocab, "tfidf").fit(docs).idf, _idf_oracle(docs, vocab))
+
     def test_unfit_tfidf_rejected(self):
         with pytest.raises(RuntimeError):
             BowFeaturizer(6, "tfidf").matrix([EncodedExample((2,))])
@@ -56,7 +98,7 @@ class TestMnb:
         # train {"x": HOF, "y": NOT} with alpha=1 over vocab of 4:
         # p(x|HOF) = (1+1)/(1+4) = 0.4, p(x|NOT) = (0+1)/(1+4) = 0.2
         train = [EncodedExample((2,), 1), EncodedExample((3,), 0)]
-        model = mnb_train(train, 4, alpha=1.0)
+        model = mnb_train(*_counts_and_labels(train, 4), alpha=1.0)
         label, scores = mnb_predict(model, np.array([0.0, 0.0, 1.0, 0.0]))
         assert label == 1
         assert scores[1] == pytest.approx(math.log(0.5) + math.log(0.4))
@@ -64,7 +106,7 @@ class TestMnb:
 
     def test_posterior_tie_goes_to_hof(self):
         train = [EncodedExample((2,), 1), EncodedExample((3,), 0)]
-        model = mnb_train(train, 4, alpha=1.0)
+        model = mnb_train(*_counts_and_labels(train, 4), alpha=1.0)
         # token 4 is unseen in both classes: symmetric evidence, equal priors
         label, scores = mnb_predict(model, np.zeros(4))
         assert scores[0] == pytest.approx(scores[1])
@@ -72,7 +114,7 @@ class TestMnb:
 
     def test_unseen_token_is_smoothed(self):
         train = [EncodedExample((2,), 1), EncodedExample((3,), 0)]
-        model = mnb_train(train, 5, alpha=1.0)
+        model = mnb_train(*_counts_and_labels(train, 5), alpha=1.0)
         label, scores = mnb_predict(model, np.array([0.0, 0.0, 0.0, 0.0, 3.0]))
         assert np.isfinite(scores).all()
 
@@ -82,17 +124,28 @@ class TestMnb:
             EncodedExample(tuple(int(x) for x in rng.integers(0, 30, size=8)), i % 2)
             for i in range(40)
         ]
-        model = mnb_train(train, 30, alpha=0.7)
+        model = mnb_train(*_counts_and_labels(train, 30), alpha=0.7)
         sums = np.exp(model.log_lik).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-9
 
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 30), st.integers(1, 20),
+           st.floats(0.1, 2.0))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_per_token_loop(self, seed, n, vocab, alpha):
+        train = _random_examples(derived_rng(seed, "mnb-oracle"), n, vocab)
+        model = mnb_train(*_counts_and_labels(train, vocab), alpha=alpha)
+        log_prior, log_lik = _mnb_train_oracle(train, vocab, alpha)
+        assert np.array_equal(model.log_prior, log_prior)
+        assert np.array_equal(model.log_lik, log_lik)
+
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            mnb_train([EncodedExample((2,), 1)], 4, alpha=1.0)
+            mnb_train(*_counts_and_labels([EncodedExample((2,), 1)], 4), alpha=1.0)
 
     def test_bad_alpha_rejected(self):
+        train = [EncodedExample((2,), 1), EncodedExample((3,), 0)]
         with pytest.raises(ValueError):
-            mnb_train([EncodedExample((2,), 1), EncodedExample((3,), 0)], 4, alpha=0.0)
+            mnb_train(*_counts_and_labels(train, 4), alpha=0.0)
 
     @given(st.integers(1, 50), st.integers(0, 2**31 - 1))
     @example(scale=3, seed=337050)  # exact ties, decided by rounding before the tolerance
@@ -105,7 +158,7 @@ class TestMnb:
             EncodedExample(tuple(int(x) for x in rng.integers(0, 12, size=6)), i % 2)
             for i in range(20)  # even count: equal priors
         ]
-        model = mnb_train(train, 12, alpha=1.0)
+        model = mnb_train(*_counts_and_labels(train, 12), alpha=1.0)
         bow = {int(k): float(v) for k, v in zip(rng.integers(0, 12, 4), rng.integers(1, 5, 4))}
         x = np.zeros(12)
         x[list(bow)] = list(bow.values())
@@ -166,6 +219,27 @@ class TestRidge:
         b = ridge_train(np.vstack([x, x]), np.concatenate([y, y]), lam=6.0)
         assert np.abs(a.w - b.w).max() < 1e-6
         assert abs(a.b - b.b) < 1e-6
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 20), st.integers(1, 20), st.floats(-3, 6))
+    @example(seed=0, n=3, v=12, log_lam=-3)  # n < V+1: the dual is the smaller system
+    @example(seed=0, n=20, v=2, log_lam=-3)  # n > V+1
+    @example(seed=1, n=8, v=5, log_lam=6)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_primal_solve(self, seed, n, v, log_lam):
+        # tf-idf-like rows: small counts times per-column weights, so zero
+        # columns and duplicate rows occur
+        rng = derived_rng(seed, "ridge-primal")
+        x = rng.integers(0, 3, size=(n, v)) * rng.uniform(1.0, 3.0, size=v)
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        lam = 10.0**log_lam
+        model = ridge_train(x, y, lam)
+        xa = np.hstack([x, np.ones((n, 1))])
+        penalty = np.diag([lam] * v + [0.0])
+        want = np.linalg.solve(xa.T @ xa + penalty, xa.T @ y)
+        got = np.append(model.w, model.b)
+        # both solves are exact up to float64 rounding times the condition
+        # number, which stays below ~1e7 at these sizes and lambda >= 1e-3
+        assert np.abs(got - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
 
     def test_bad_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -366,7 +440,7 @@ class TestMatrixPredict:
         queries = [random_example() for _ in range(n_query)] + [EncodedExample(())] * n_empty
 
         counts = BowFeaturizer(vocab, "count").matrix(queries)
-        mnb = mnb_train(train, vocab, alpha=float(rng.uniform(0.1, 2.0)))
+        mnb = mnb_train(*_counts_and_labels(train, vocab), alpha=float(rng.uniform(0.1, 2.0)))
         labels, scores = mnb_predict(mnb, counts)
         assert labels.shape == (len(queries),) and scores.shape == (len(queries), 2)
         for i, row in enumerate(counts):

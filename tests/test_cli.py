@@ -225,6 +225,35 @@ class TestTrainCmd:
         assert rc == 1
         assert DIVERGED.fullmatch(capsys.readouterr().err)
 
+    @staticmethod
+    def _train_with_first_value(tmp_path, capsys, value):
+        """Exit code and stderr of train after the first value of "theek" becomes ``value``."""
+        data, vectors, config, ckpt, history = run_pipeline(tmp_path)
+        lines = vectors.read_text(encoding="utf-8").split("\n")
+        row = next(i for i, line in enumerate(lines) if line.startswith("theek "))
+        fields = lines[row].split(" ")
+        lines[row] = " ".join([fields[0], value] + fields[2:])
+        vectors.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy overflow warning fails the test
+            rc = cli.main(
+                ["train", "--config", str(config), "--data", str(data),
+                 "--embeddings", str(vectors), "--out", str(ckpt), "--seed", "1"]
+            )
+        return rc, capsys.readouterr().err
+
+    def test_vector_value_beyond_float32_is_one_error_line(self, tmp_path, capsys):
+        rc, err = self._train_with_first_value(tmp_path, capsys, "1e300")
+        assert rc == 1
+        assert err == "error: embedding values must be finite and fit in float32\n"
+
+    def test_huge_vector_value_trains_quietly(self, tmp_path, capsys):
+        # some logits fall below -709, where exp(-logit) overflows float64
+        rc, err = self._train_with_first_value(tmp_path, capsys, "-1e30")
+        assert rc == 0
+        assert err == ""
+
     def test_unlabelled_data_rejected(self, tmp_path, capsys):
         data = tmp_path / "u.tsv"
         write_tsv(data, ["t1\tkuch"], header="text_id\ttext")
