@@ -6,10 +6,14 @@ concatenate -> dense ReLU layer -> single sigmoid output giving P(HOF).
 
 The embedding table is a trainable parameter (fine-tuned end to end); its
 pad row is pinned to zero. All gradients are hand-derived; training uses
-Adam on mean-batch binary cross-entropy. Dropout is inverted (survivors
-scaled by 1/keep) at four sites: input word rows, pooled features of each
-bank, and dense activations. The dense layer and the output form one layer
-stack of ``layers.py``, which also draws the dropout masks and runs the
+Adam on mean-batch binary cross-entropy. The embedding gradient is
+row-sparse (``RowSparse``: the batch's distinct ids and one block of rows),
+and Adam skips the rows that no batch has reached yet. The skip is exact: such
+a row has zero moments and zero gradient, so its Adam step is
+``lr * 0 / (0 + eps)``, exactly zero for any ``eps > 0``. Dropout is inverted
+(survivors scaled by 1/keep) at four sites: input word rows, pooled features
+of each bank, and dense activations. The dense layer and the output form one
+layer stack of ``layers.py``, which also draws the dropout masks and runs the
 shuffled minibatch epoch; the conv banks, max-pool, early stopping and Adam
 live here.
 
@@ -42,6 +46,7 @@ __all__ = [
     "CnnConfig",
     "TrainConfig",
     "CnnModel",
+    "RowSparse",
     "Adam",
     "bce_loss",
     "train_model",
@@ -141,6 +146,12 @@ class TrainConfig:
             raise ValueError("epochs, batch_size, and lr must be positive")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        # Adam skips unreached embedding rows; their step is 0 / (0 + eps) only for eps > 0
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 def _pad_ids(ids: Sequence[int], m_max: int) -> np.ndarray:
@@ -372,14 +383,49 @@ class CnnModel:
 
         if saved["input_mask"] is not None:
             dx = dx * saved["input_mask"]
-        grads["emb"] = np.zeros_like(p["emb"])
-        np.add.at(grads["emb"], ids, dx)
-        grads["emb"][PAD_ID] = 0.0
+        grads["emb"] = _sum_rows(ids, dx, len(p["emb"]))
         return loss, grads
 
 
+def _sum_rows(ids: np.ndarray, dx: np.ndarray, vocab_size: int) -> "RowSparse":
+    """The embedding gradient: row ``ids[i]`` gets ``dx[i]``; the pad row gets zero.
+
+    Each row sums its occurrences in the order of ``ids``, the order a dense
+    ``np.add.at`` into a (vocab_size x n) zero array would add them in.
+    """
+    rows, occurrence_row = np.unique(ids, return_inverse=True)
+    block = np.zeros((len(rows), dx.shape[1]), dtype=dx.dtype)
+    np.add.at(block, occurrence_row, dx)
+    block[rows == PAD_ID] = 0.0
+    return RowSparse(rows, block, (vocab_size, dx.shape[1]))
+
+
+@dataclass(frozen=True, eq=False)
+class RowSparse:
+    """A gradient that is zero outside a few rows of a (rows x ...) parameter.
+
+    ``rows`` holds sorted distinct row ids and ``values`` their gradient rows,
+    in the same order. ``np.asarray`` scatters it into the dense array.
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+    shape: tuple
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=self.values.dtype if dtype is None else dtype)
+        dense[self.rows] = self.values
+        return dense
+
+
 class Adam:
-    """Adam optimizer over the model's parameter dict; updates in place."""
+    """Adam optimizer over the model's parameter dict; updates in place.
+
+    A ``RowSparse`` gradient updates only the rows that some gradient of that
+    parameter has reached so far, every step, whether or not this step's
+    gradient holds them. This gives the same bytes as the dense step: an
+    unreached row has m = v = 0 and g = 0, so its step is 0 / (0 + eps) = 0.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
@@ -387,26 +433,39 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.reached = {}  # parameter -> per-row flags: has a gradient reached the row?
 
     def step(self, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self.t
-        bias2 = 1.0 - b2**self.t
         for k in PARAM_ORDER:
-            g, m, v = grads[k], self.m[k], self.v[k]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / bias1
-            v_hat = v / bias2
-            # lr * m_hat / (sqrt(v_hat) + eps), in place so only two temporaries live
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += self.eps
-            m_hat *= self.lr
-            m_hat /= v_hat
-            self.params[k] -= m_hat
+            g = grads[k]
+            if not isinstance(g, RowSparse):
+                self._update(self.params[k], g, self.m[k], self.v[k])
+                continue
+            reached = self.reached.setdefault(k, np.zeros(g.shape[0], dtype=bool))
+            reached[g.rows] = True
+            rows = np.flatnonzero(reached)
+            g_rows = np.zeros((len(rows),) + g.values.shape[1:], dtype=g.values.dtype)
+            g_rows[np.searchsorted(rows, g.rows)] = g.values
+            param, m, v = self.params[k][rows], self.m[k][rows], self.v[k][rows]
+            self._update(param, g_rows, m, v)
+            self.params[k][rows], self.m[k][rows], self.v[k][rows] = param, m, v
+
+    def _update(self, param, g, m, v):
+        """One Adam step of ``param``, ``m`` and ``v``, in place, at step ``self.t``."""
+        b1, b2 = self.beta1, self.beta2
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**self.t)
+        v_hat = v / (1.0 - b2**self.t)
+        # lr * m_hat / (sqrt(v_hat) + eps), in place so only two temporaries live
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        m_hat *= self.lr
+        m_hat /= v_hat
+        param -= m_hat
 
 
 def train_model(

@@ -272,8 +272,16 @@ class TestConfigValidation:
             ({"model": 5}, "section 'model' must be a JSON object"),
             ({"train": {"epochs": None}}, "train.epochs must be a number, got null"),
             ({"model": {"filter_counts": 5}}, "model.filter_counts must be a list of numbers"),
+            ({"train": {"eps": 0}}, "eps must be positive and finite, got 0.0"),
+            ({"train": {"eps": -1}}, "eps must be positive and finite, got -1.0"),
+            ({"train": {"eps": float("inf")}}, "eps must be positive and finite, got inf"),
+            ({"train": {"beta2": 1.5}}, "beta2 must be in [0, 1), got 1.5"),
+            ({"train": {"beta1": 1}}, "beta1 must be in [0, 1), got 1.0"),
+            ({"train": {"beta1": -0.1}}, "beta1 must be in [0, 1), got -0.1"),
         ],
-        ids=["top-level-list", "section-not-object", "null-number", "filter-counts-not-list"],
+        ids=["top-level-list", "section-not-object", "null-number", "filter-counts-not-list",
+             "eps-zero", "eps-negative", "eps-infinite", "beta2-above-one", "beta1-one",
+             "beta1-negative"],
     )
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, config, needle):
         data = make_labelled_tsv(tmp_path / "train.tsv")

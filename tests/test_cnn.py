@@ -52,6 +52,14 @@ def max_pool(features) -> tuple:
     return float(arr[k]), k
 
 
+def dense_emb_grad(ids, dx, vocab_size):
+    """The dense embedding gradient: one np.add.at into a zero table, pad row zeroed."""
+    grad = np.zeros((vocab_size, dx.shape[1]), dtype=dx.dtype)
+    np.add.at(grad, ids, dx)
+    grad[corpus.PAD_ID] = 0.0
+    return grad
+
+
 def adam_textbook(params, grads_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     """Adam with fresh moment arrays each step, as in Kingma & Ba's Algorithm 1."""
     m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -222,8 +230,8 @@ class TestPackedBatch:
         singles = [model.batch_loss_grads([ex], [mk]) for ex, mk in zip(batch, masks)]
         assert abs(loss - np.mean([single_loss for single_loss, _ in singles])) < 1e-12
         for key in cnn.PARAM_ORDER:
-            mean = sum(g[key] for _, g in singles) / len(batch)
-            assert np.abs(grads[key] - mean).max() < 1e-12, key
+            mean = sum(np.asarray(g[key]) for _, g in singles) / len(batch)
+            assert np.abs(np.asarray(grads[key]) - mean).max() < 1e-12, key
 
 
 class TestLoss:
@@ -277,7 +285,49 @@ class TestBackward:
         model, rng = small_model(seed=5)
         batch = random_batch(rng, sizes=(3, 2), labels=(1, 0))  # heavy padding
         _, grads = model.batch_loss_grads(batch)
-        assert not grads["emb"][corpus.PAD_ID].any()
+        assert not np.asarray(grads["emb"])[corpus.PAD_ID].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_sparse_gradient_equals_dense_add_at_bitwise(self, dtype, monkeypatch):
+        # no input dropout, so the pad row's occurrences carry a gradient to discard
+        model, rng = small_model(seed=7, dropout=DropoutSpec(input=0.0), dtype=dtype)
+        # ids repeat within a tweet and across tweets; short tweets are padded
+        batch = [
+            EncodedExample((3, 3, 5, 3, 8, 5), 1),
+            EncodedExample((5, 2), 0),
+            EncodedExample((8, 1, 3, 3, 2, 2, 7), 1),
+        ]
+        mask_rng = derived_rng(7, "cnn-test-masks")
+        masks = [
+            model.make_masks(len(_pad_ids(ex.ids, model.cfg.m_max)), mask_rng)
+            for ex in batch
+        ]
+        seen = []
+
+        def recording_sum_rows(ids, dx, vocab_size):
+            seen.append((ids, dx))
+            return sum_rows(ids, dx, vocab_size)
+
+        sum_rows = cnn._sum_rows
+        monkeypatch.setattr(cnn, "_sum_rows", recording_sum_rows)
+        _, grads = model.batch_loss_grads(batch, masks)
+        (ids, dx), = seen
+        assert (dx[ids == corpus.PAD_ID] != 0).any()
+        sparse = grads["emb"]
+        assert np.array_equal(sparse.rows, np.unique(ids))
+        want = dense_emb_grad(ids, dx, len(model.params["emb"]))
+        got = np.asarray(sparse)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sum_rows_matches_dense_add_at_bitwise(self, dtype):
+        rng = derived_rng(1, f"sum-rows-{np.dtype(dtype).name}")
+        for _ in range(50):
+            ids = rng.integers(0, 9, size=int(rng.integers(1, 40)))
+            signs = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(len(ids), 3))
+            dx = (signs * 10.0 ** rng.uniform(-6, 3, size=signs.shape)).astype(dtype)
+            got = np.asarray(cnn._sum_rows(ids, dx, 11))
+            assert got.tobytes() == dense_emb_grad(ids, dx, 11).tobytes()
 
 
 class TestDropout:
@@ -378,6 +428,23 @@ class TestTraining:
         h1 = train_model(CnnModel.init(emb, cfg, seed=7), train, val, tcfg)
         h2 = train_model(CnnModel.init(emb, cfg, seed=7), train, val, tcfg)
         assert h1 == h2
+
+    def test_rows_no_training_tweet_contains_keep_their_initial_bytes(self):
+        rng = derived_rng(6, "untouched-rows")
+        emb = rng.uniform(-0.1, 0.1, size=(30, 8)).astype(np.float32)
+        emb[29, 3] = -0.0  # its sign bit must survive too
+        cfg = CnnConfig(embed_dim=8, filter_counts=(2, 2, 4), dense_units=8, m_max=16)
+        model = CnnModel.init(emb, cfg, seed=6)
+        initial = model.copy_params()["emb"]
+        train = self._toy(rng, 12)  # ids 1..19
+        val = [EncodedExample((22, 25, 29, 3), 1), EncodedExample((21, 24), 0)]
+        train_model(model, train, val, TrainConfig(epochs=3, batch_size=4, seed=6))
+        reached = {i for ex in train for i in ex.ids}
+        untouched = [i for i in range(len(emb)) if i not in reached]
+        assert {21, 22, 24, 25, 29} <= set(untouched)
+        final = model.params["emb"]
+        assert final[untouched].tobytes() == initial[untouched].tobytes()
+        assert not np.array_equal(final[sorted(reached)], initial[sorted(reached)])
 
     def test_empty_train_rejected(self):
         model, _ = small_model()
@@ -512,6 +579,54 @@ class TestAdam:
             assert np.array_equal(opt.m[k], m[k]), k
             assert np.array_equal(opt.v[k], v[k]), k
             assert params[k].dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_sparse_step_matches_textbook_on_dense_gradients(self, dtype):
+        rng = derived_rng(1, f"adam-sparse-{np.dtype(dtype).name}")
+        vocab, n, steps = 12, 3, 200
+        params = {k: rng.normal(size=(4, 3)).astype(dtype) for k in cnn.PARAM_ORDER}
+        params["emb"] = rng.normal(size=(vocab, n)).astype(dtype)
+        params["emb"][corpus.PAD_ID] = 0.0
+
+        def present(t):
+            """Rows of step t's gradient: pad always, 1-3 always, 4 only late,
+            5 absent for steps 11-119, 11 never, the rest at random."""
+            rows = {corpus.PAD_ID, 1, 2, 3}
+            rows |= {4} if t > 150 else set()
+            rows |= {5} if t <= 10 or t >= 120 else set()
+            rows |= {int(r) for r in range(6, 11) if rng.random() < 0.3}
+            return np.array(sorted(rows))
+
+        grads_seq = []
+        for t in range(1, steps + 1):
+            grads = {
+                k: (rng.choice([-1.0, 0.0, 1.0], size=(4, 3))
+                    * 10.0 ** rng.uniform(-6, 3, size=(4, 3))).astype(dtype)
+                for k in cnn.PARAM_ORDER
+            }
+            rows = present(t)
+            # magnitudes from 1e-6 to 1e3 with exact 0.0 and -0.0 among them
+            signs = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(len(rows), n))
+            values = (signs * 10.0 ** rng.uniform(-6, 3, size=signs.shape)).astype(dtype)
+            values[rows == corpus.PAD_ID] = 0.0
+            grads["emb"] = cnn.RowSparse(rows, values, (vocab, n))
+            grads_seq.append(grads)
+
+        expected = {k: v.copy() for k, v in params.items()}
+        m, v = adam_textbook(
+            expected, [{k: np.asarray(g) for k, g in grads.items()} for grads in grads_seq]
+        )
+        opt = Adam(params)
+        for grads in grads_seq:
+            opt.step(grads)
+        for k in cnn.PARAM_ORDER:
+            assert np.array_equal(params[k], expected[k]), k
+            assert params[k].tobytes() == expected[k].tobytes(), k
+            assert np.array_equal(opt.m[k], m[k]), k
+            assert np.array_equal(opt.v[k], v[k]), k
+            assert params[k].dtype == dtype
+        assert not opt.reached["emb"][11]
+        assert params["emb"][11].tobytes() == expected["emb"][11].tobytes()
 
     def test_moves_toward_minimum(self):
         params = {k: np.zeros(1) for k in cnn.PARAM_ORDER}
