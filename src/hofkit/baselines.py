@@ -50,16 +50,21 @@ class BowFeaturizer:
         self.idf: Optional[np.ndarray] = None
 
     def fit(self, examples: Sequence[EncodedExample]) -> "BowFeaturizer":
-        df = (self._counts(examples) > 0).sum(axis=0)
-        self.idf = np.log((1.0 + len(examples)) / (1.0 + df)) + 1.0
+        self.matrix(examples, fit=True)
         return self
 
-    def matrix(self, examples: Sequence[EncodedExample]) -> np.ndarray:
-        """(N, V) bag-of-words matrix: token counts, times idf under tfidf."""
-        if self.scheme == "tfidf" and self.idf is None:
-            raise RuntimeError("featurizer must be fit before tfidf transform")
+    def matrix(self, examples: Sequence[EncodedExample], fit: bool = False) -> np.ndarray:
+        """(N, V) bag-of-words matrix: token counts, times idf under tfidf.
+
+        With ``fit``, the tfidf scheme first takes its idf from the document
+        frequencies of these same counts, so a fit counts its examples once.
+        """
         out = self._counts(examples)
         if self.scheme == "tfidf":
+            if fit:
+                self.idf = np.log((1.0 + len(examples)) / (1.0 + (out > 0).sum(axis=0))) + 1.0
+            elif self.idf is None:
+                raise RuntimeError("featurizer must be fit before tfidf transform")
             out *= self.idf
         return out
 
@@ -313,7 +318,7 @@ class _BaselineWrapper:
     def fit(self, examples: Sequence[EncodedExample]) -> "_BaselineWrapper":
         p = self.params
         labels = [ex.label for ex in examples]
-        x = self._featurizer.fit(examples).matrix(examples)
+        x = self._featurizer.matrix(examples, fit=True)
         if self.family == "mnb":
             self._fitted = mnb_train(x, labels, p.get("alpha", 1.0))
         elif self.family == "ridge":

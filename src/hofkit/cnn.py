@@ -142,8 +142,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise ValueError("epochs, batch_size, and lr must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
         for name in ("beta1", "beta2"):

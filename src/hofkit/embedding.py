@@ -2,11 +2,15 @@
 
 Both objectives slide a fixed window over each sentence. CBOW predicts the
 center word from the mean of its context vectors; skip-gram predicts each
-context word from the center vector. Each step pulls the observed pair
+context word from the center vector. Each example pulls the observed pair
 together and pushes a handful of noise words (drawn from the unigram
 distribution raised to 3/4) away.
 
-The trainer is single-threaded and bitwise deterministic under a fixed seed.
+Training takes one SGD step per tweet (sentence batching, as in Ji et al.
+2016, "Parallelizing Word2Vec in Shared and Distributed Memory"): all of a
+tweet's examples read the tables as they were before the step, and the
+step writes each distinct row once. The trainer is single-threaded and
+deterministic: the same seed gives the same bytes.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ __all__ = [
     "save_text",
     "load_text",
     "load_words",
-    "cbow_window_loss_grads",
-    "skipgram_pair_loss_grads",
 ]
 
 NOISE_POWER = 0.75
@@ -52,6 +54,8 @@ class EmbeddingConfig:
             raise ValueError("dim, window, epochs, and negatives must all be >= 1")
         if self.objective not in ("cbow", "skipgram"):
             raise ValueError(f"unknown objective {self.objective!r}")
+        if not (np.isfinite(self.initial_lr) and self.initial_lr > 0):
+            raise ValueError(f"initial_lr must be positive and finite, got {self.initial_lr}")
 
 
 @dataclass
@@ -70,70 +74,6 @@ class EmbeddingMatrix:
         return self.w_in.shape[0]
 
 
-def _softplus(x: float) -> float:
-    return float(np.logaddexp(0.0, x))
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _contrastive(h, w_out, target, negatives):
-    """Loss and gradients for one positive target plus sampled noise words.
-
-    Returns (loss, dL/dh, [(word_id, dL/dw_out_row), ...]). Noise draws equal
-    to the target are skipped; duplicate draws contribute twice.
-    """
-    loss = 0.0
-    dh = np.zeros_like(h)
-    out_grads = []
-    x = float(w_out[target] @ h)
-    loss += _softplus(-x)
-    g = _sigmoid(x) - 1.0  # dL/dx for the positive pair
-    dh += g * w_out[target]
-    out_grads.append((target, g * h))
-    for nid in negatives:
-        if nid == target:
-            continue
-        x = float(w_out[nid] @ h)
-        loss += _softplus(x)
-        g = _sigmoid(x)
-        dh += g * w_out[nid]
-        out_grads.append((nid, g * h))
-    return loss, dh, out_grads
-
-
-def cbow_window_loss_grads(w_in, w_out, center, context, negatives):
-    """Full CBOW window loss with exact gradients w.r.t. both matrices.
-
-    The hidden vector is the mean of the context rows, so each context row
-    receives 1/len(context) of the hidden gradient. Used by the trainer's
-    oracle tests; returns dense gradient matrices.
-    """
-    context = list(context)
-    h = w_in[context].mean(axis=0)
-    loss, dh, out_grads = _contrastive(h, w_out, center, negatives)
-    g_in = np.zeros_like(w_in)
-    for cid in context:
-        g_in[cid] += dh / len(context)
-    g_out = np.zeros_like(w_out)
-    for wid, grad in out_grads:
-        g_out[wid] += grad
-    return loss, g_in, g_out
-
-
-def skipgram_pair_loss_grads(w_in, w_out, center, context_word, negatives):
-    """Skip-gram loss for one (center, context) pair with exact gradients."""
-    h = w_in[center]
-    loss, dh, out_grads = _contrastive(h, w_out, context_word, negatives)
-    g_in = np.zeros_like(w_in)
-    g_in[center] += dh
-    g_out = np.zeros_like(w_out)
-    for wid, grad in out_grads:
-        g_out[wid] += grad
-    return loss, g_in, g_out
-
-
 def _noise_table(corpus: Sequence[EncodedExample], vocab_size: int) -> np.ndarray:
     counts = np.zeros(vocab_size, dtype=np.float64)
     for ex in corpus:
@@ -146,13 +86,67 @@ def _noise_table(corpus: Sequence[EncodedExample], vocab_size: int) -> np.ndarra
     return np.cumsum(weights)
 
 
-def _sentence_windows(length: int, window: int):
-    for i in range(length):
-        lo = max(0, i - window)
-        hi = min(length, i + window + 1)
-        context = list(range(lo, i)) + list(range(i + 1, hi))
-        if context:
-            yield i, context
+def _context_band(length: int, window: int) -> np.ndarray:
+    """(L, L) mask whose row i marks the context positions of center i."""
+    gap = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
+    return (gap > 0) & (gap <= window)
+
+
+def _examples(ids: np.ndarray, window: int, skipgram: bool):
+    """One tweet's examples: the (E, L) operator from ``w_in[ids]`` to the
+    hidden vectors, the E target ids, and the center position of each.
+
+    CBOW has one example per position, whose hidden vector is the mean of its
+    context rows. Skip-gram has one per (center, context) pair, centers in
+    order and each center's context positions in order, and its hidden
+    vector is the center row.
+    """
+    band = _context_band(len(ids), window)
+    if skipgram:
+        center, context = np.nonzero(band)
+        return np.eye(len(ids))[center], ids[context], center
+    return band / band.sum(axis=1, keepdims=True), ids, np.arange(len(ids))
+
+
+def _contrastive(h, w_out, out_ids):
+    """Summed loss of E examples, d(loss)/d(score) per draw, and d(loss)/dh.
+
+    Row e of ``out_ids`` holds example e's target, then its k noise words,
+    each scored against ``h[e]``. The loss is softplus(-score) for the target
+    and softplus(score) for a noise word; a noise word equal to its target
+    is skipped, a repeated one counts twice.
+    """
+    w = w_out[out_ids]  # (E, 1 + k, dim)
+    # d(loss)/d(score) = sign * sigmoid(sign * score), sign 0 for a skipped word
+    sign = np.ones(out_ids.shape)
+    sign[:, 0] = -1.0
+    sign[:, 1:][out_ids[:, 1:] == out_ids[:, :1]] = 0.0
+    z = sign * np.einsum("ed,ejd->ej", h, w)
+    g = sign * (0.5 + 0.5 * np.tanh(0.5 * z))
+    return float(np.logaddexp(0.0, z)[sign != 0.0].sum()), g, np.einsum("ej,ejd->ed", g, w)
+
+
+def _tweet_step(w_in, w_out, ids, op, out_ids, lr) -> float:
+    """One SGD step over a tweet's E examples; returns their summed loss.
+
+    Example e has the hidden vector ``op[e] @ w_in[ids]``, the target and
+    noise words ``out_ids[e]`` and the learning rate ``lr[e]``. Every example
+    reads the tables as they were before the step, and each distinct row of
+    either table is written once.
+    """
+    x = w_in[ids]  # (L, dim)
+    loss, g, dh = _contrastive(op @ x, w_out, out_ids)
+    rows, slot = np.unique(ids, return_inverse=True)
+    w_in[rows] -= ((slot == np.arange(len(rows))[:, None]) @ op.T) @ (lr[:, None] * dh)
+    # m[u, l] sums lr[e] * g[e, j] * op[e, l] over the draws (e, j) of
+    # out_rows[u], so row u of m @ x sums lr[e] * g[e, j] * h[e] over them
+    out_rows, out_slot = np.unique(out_ids, return_inverse=True)
+    n = len(ids)
+    flat = out_slot.reshape(out_ids.shape)[:, :, None] * n + np.arange(n)
+    weights = (lr[:, None] * g)[:, :, None] * op[:, None, :]
+    m = np.bincount(flat.ravel(), weights.ravel(), len(out_rows) * n)
+    w_out[out_rows] -= m.reshape(len(out_rows), n) @ x
+    return loss
 
 
 def train(
@@ -161,11 +155,13 @@ def train(
     cfg: EmbeddingConfig,
     seed: int = 0,
 ) -> EmbeddingMatrix:
-    """Train word vectors over an encoded corpus.
+    """Train word vectors over an encoded corpus, one SGD step per tweet.
 
-    The learning rate decays linearly from ``initial_lr`` to a tenth of it
-    over all steps. Returns the matrix pair with per-epoch mean losses
-    attached.
+    Every position of a tweet of two or more ids is a window. The learning
+    rate decays linearly from ``initial_lr`` to a tenth of it over all
+    windows; each example gets the rate of its window. Returns the matrix
+    pair with per-epoch mean losses (per window for CBOW, per pair for
+    skip-gram) attached.
     """
     if vocab_size < 1:
         raise ValueError("vocabulary is empty")
@@ -176,50 +172,30 @@ def train(
     w_out = np.zeros((vocab_size, cfg.dim), dtype=np.float64)
     cum = _noise_table(corpus, vocab_size)
 
-    steps_per_epoch = sum(
-        1 for ex in corpus for _ in _sentence_windows(len(ex.ids), cfg.window)
-    )
+    steps_per_epoch = sum(len(ex.ids) for ex in corpus if len(ex.ids) >= 2)
     total_steps = max(cfg.epochs * steps_per_epoch, 1)
 
     rng = derived_rng(seed, "embedding-train")
-    sg = cfg.objective == "skipgram"
+    skipgram = cfg.objective == "skipgram"
     losses = []
     step = 0
     for _ in range(cfg.epochs):
         epoch_loss = 0.0
         epoch_terms = 0
         for ex in corpus:
-            ids = ex.ids
-            for i, context_pos in _sentence_windows(len(ids), cfg.window):
-                lr = cfg.initial_lr * (
-                    1.0 - (1.0 - LR_FINAL_FRACTION) * step / max(total_steps - 1, 1)
-                )
-                center = ids[i]
-                context = [ids[p] for p in context_pos]
-                if sg:
-                    h = w_in[center]
-                    d_center = np.zeros(cfg.dim)
-                    for cword in context:
-                        negs = cum.searchsorted(rng.random(cfg.negatives) * cum[-1])
-                        loss, dh, out_grads = _contrastive(h, w_out, cword, negs)
-                        epoch_loss += loss
-                        epoch_terms += 1
-                        d_center += dh
-                        for wid, grad in out_grads:
-                            w_out[wid] -= lr * grad
-                    w_in[center] -= lr * d_center
-                else:
-                    h = w_in[context].mean(axis=0)
-                    negs = cum.searchsorted(rng.random(cfg.negatives) * cum[-1])
-                    loss, dh, out_grads = _contrastive(h, w_out, center, negs)
-                    epoch_loss += loss
-                    epoch_terms += 1
-                    share = lr / len(context)
-                    for cid in context:
-                        w_in[cid] -= share * dh
-                    for wid, grad in out_grads:
-                        w_out[wid] -= lr * grad
-                step += 1
+            if len(ex.ids) < 2:
+                continue
+            ids = np.asarray(ex.ids)
+            op, targets, center = _examples(ids, cfg.window, skipgram)
+            lr = cfg.initial_lr * (
+                1.0 - (1.0 - LR_FINAL_FRACTION) * (step + center) / max(total_steps - 1, 1)
+            )
+            # one draw per tweet gives the numbers of one draw per example
+            negatives = cum.searchsorted(rng.random(len(op) * cfg.negatives) * cum[-1])
+            out_ids = np.column_stack([targets, negatives.reshape(len(op), cfg.negatives)])
+            epoch_loss += _tweet_step(w_in, w_out, ids, op, out_ids, lr)
+            epoch_terms += len(op)
+            step += len(ids)
         losses.append(epoch_loss / max(epoch_terms, 1))
     return EmbeddingMatrix(w_in, w_out, losses)
 

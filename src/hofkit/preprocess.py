@@ -170,22 +170,31 @@ def stem_hindi(word: str, suffixes: tuple[str, ...] | None = None) -> str:
     stemming idempotent, which the pipeline relies on. Non-Devanagari tokens
     pass through unchanged.
     """
+    return _stemmer(suffixes)(word)
+
+
+def _stemmer(suffixes: tuple[str, ...] | None):
+    """``stem_hindi`` for one table, with the table's suffix index looked up once."""
     if suffixes is None:
         suffixes = default_suffix_table()
-    if not _is_devanagari(word):
-        return word
     position, lengths = _suffix_index(suffixes)
-    while True:
-        # one lookup per suffix length finds every matching suffix
-        best = None
-        for n in lengths:
-            if n < len(word):
-                pos = position.get(word[len(word) - n :])
-                if pos is not None and (best is None or pos < best):
-                    best = pos
-        if best is None:
+
+    def stem(word: str) -> str:
+        if not _is_devanagari(word):
             return word
-        word = word[: -len(suffixes[best])]
+        while True:
+            # one lookup per suffix length finds every matching suffix
+            best = None
+            for n in lengths:
+                if n < len(word):
+                    pos = position.get(word[len(word) - n :])
+                    if pos is not None and (best is None or pos < best):
+                        best = pos
+            if best is None:
+                return word
+            word = word[: -len(suffixes[best])]
+
+    return stem
 
 
 def _split_punct(token: str) -> list[str]:
@@ -231,4 +240,5 @@ def preprocess(text: str, suffixes: tuple[str, ...] | None = None) -> list[str]:
         if cleaned == text:
             break
         text = cleaned
-    return [stem_hindi(tok, suffixes) for tok in tokenize(text)]
+    stem = _stemmer(suffixes)
+    return [stem(tok) for tok in tokenize(text)]

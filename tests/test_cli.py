@@ -132,6 +132,32 @@ class TestEmbedTrainCmd:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-1", "0"])
+    def test_bad_learning_rate_is_one_error_line(self, tmp_path, capsys, lr):
+        tokens = tmp_path / "c.txt"
+        tokens.write_text("a b a b\nb a b a\n", encoding="utf-8")
+        out = tmp_path / "v.txt"
+        rc = cli.main(
+            ["embed-train", str(tokens), "--out", str(out), "--dim", "4", "--min-count", "1",
+             "--epochs", "1", "--seed", "1", "--lr", lr]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: initial_lr must be positive and finite, got {float(lr)}\n"
+        assert not out.exists()
+
+    def test_bad_learning_rate_in_config_names_the_key(self, tmp_path, capsys):
+        tokens = tmp_path / "c.txt"
+        tokens.write_text("a b a b\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text('{"embedding": {"initial_lr": NaN}}', encoding="utf-8")
+        rc = cli.main(
+            ["embed-train", str(tokens), "--out", str(tmp_path / "v.txt"), "--config",
+             str(config), "--min-count", "1", "--seed", "1"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: initial_lr must be positive and finite, got nan\n"
+
     def test_seed_required(self, tmp_path, capsys):
         tokens = tmp_path / "c.txt"
         tokens.write_text("a b\n", encoding="utf-8")
@@ -278,10 +304,13 @@ class TestConfigValidation:
             ({"train": {"beta2": 1.5}}, "beta2 must be in [0, 1), got 1.5"),
             ({"train": {"beta1": 1}}, "beta1 must be in [0, 1), got 1.0"),
             ({"train": {"beta1": -0.1}}, "beta1 must be in [0, 1), got -0.1"),
+            ({"train": {"lr": float("nan")}}, "lr must be positive and finite, got nan"),
+            ({"train": {"lr": float("inf")}}, "lr must be positive and finite, got inf"),
+            ({"train": {"lr": 0}}, "lr must be positive and finite, got 0.0"),
         ],
         ids=["top-level-list", "section-not-object", "null-number", "filter-counts-not-list",
              "eps-zero", "eps-negative", "eps-infinite", "beta2-above-one", "beta1-one",
-             "beta1-negative"],
+             "beta1-negative", "lr-nan", "lr-infinite", "lr-zero"],
     )
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, config, needle):
         data = make_labelled_tsv(tmp_path / "train.tsv")

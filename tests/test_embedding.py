@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,13 +10,11 @@ from hofkit import corpus, embedding
 from hofkit.embedding import (
     EmbeddingConfig,
     EmbeddingMatrix,
-    cbow_window_loss_grads,
     cosine,
     load_text,
     load_words,
     nearest,
     save_text,
-    skipgram_pair_loss_grads,
     train,
 )
 from hofkit.seeding import derived_rng
@@ -22,6 +25,103 @@ from synthgen import clique_margin, two_clique_corpus
 def encode_streams(streams, min_count=1):
     vocab = corpus.build_vocab(streams, min_count=min_count)
     return [corpus.encode(s, vocab) for s in streams], vocab
+
+
+# -- scalar oracles: one window or pair at a time, independent of the trainer --
+
+
+def _softplus(x: float) -> float:
+    return float(np.logaddexp(0.0, x))
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _contrastive(h, w_out, target, negatives):
+    """Loss and gradients for one positive target plus sampled noise words.
+
+    Returns (loss, dL/dh, [(word_id, dL/dw_out_row), ...]). Noise draws equal
+    to the target are skipped; duplicate draws contribute twice.
+    """
+    loss = 0.0
+    dh = np.zeros_like(h)
+    out_grads = []
+    x = float(w_out[target] @ h)
+    loss += _softplus(-x)
+    g = _sigmoid(x) - 1.0  # dL/dx for the positive pair
+    dh += g * w_out[target]
+    out_grads.append((target, g * h))
+    for nid in negatives:
+        if nid == target:
+            continue
+        x = float(w_out[nid] @ h)
+        loss += _softplus(x)
+        g = _sigmoid(x)
+        dh += g * w_out[nid]
+        out_grads.append((nid, g * h))
+    return loss, dh, out_grads
+
+
+def cbow_window_loss_grads(w_in, w_out, center, context, negatives):
+    """Full CBOW window loss with exact gradients w.r.t. both matrices.
+
+    The hidden vector is the mean of the context rows, so each context row
+    receives 1/len(context) of the hidden gradient.
+    """
+    context = list(context)
+    h = w_in[context].mean(axis=0)
+    loss, dh, out_grads = _contrastive(h, w_out, center, negatives)
+    g_in = np.zeros_like(w_in)
+    for cid in context:
+        g_in[cid] += dh / len(context)
+    g_out = np.zeros_like(w_out)
+    for wid, grad in out_grads:
+        g_out[wid] += grad
+    return loss, g_in, g_out
+
+
+def skipgram_pair_loss_grads(w_in, w_out, center, context_word, negatives):
+    """Skip-gram loss for one (center, context) pair with exact gradients."""
+    h = w_in[center]
+    loss, dh, out_grads = _contrastive(h, w_out, context_word, negatives)
+    g_in = np.zeros_like(w_in)
+    g_in[center] += dh
+    g_out = np.zeros_like(w_out)
+    for wid, grad in out_grads:
+        g_out[wid] += grad
+    return loss, g_in, g_out
+
+
+def sentence_windows(length, window):
+    """(center, context positions) of every window, context positions in order."""
+    for i in range(length):
+        lo = max(0, i - window)
+        hi = min(length, i + window + 1)
+        context = list(range(lo, i)) + list(range(i + 1, hi))
+        if context:
+            yield i, context
+
+
+def oracle_examples(ids, window, skipgram):
+    """(window index, loss_grads args) of a tweet's examples in training order."""
+    for i, context in sentence_windows(len(ids), window):
+        if skipgram:
+            for p in context:
+                yield i, (skipgram_pair_loss_grads, ids[i], ids[p])
+        else:
+            yield i, (cbow_window_loss_grads, ids[i], [ids[p] for p in context])
+
+
+def oracle_step(w_in, w_out, ids, window, skipgram, window_lr, negatives):
+    """Scalar losses and the tables after one step whose examples all read (w_in, w_out)."""
+    new_in, new_out, losses = w_in.copy(), w_out.copy(), []
+    for (i, (fn, center, context)), negs in zip(oracle_examples(ids, window, skipgram), negatives):
+        loss, g_in, g_out = fn(w_in, w_out, center, context, negs)
+        new_in -= window_lr[i] * g_in
+        new_out -= window_lr[i] * g_out
+        losses.append(loss)
+    return losses, new_in, new_out
 
 
 class TestConfig:
@@ -35,11 +135,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             EmbeddingConfig(objective="glove")
 
+    @pytest.mark.parametrize("lr", [0.0, -0.025, float("nan"), float("inf")])
+    def test_rejects_a_learning_rate_that_is_not_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="initial_lr must be positive and finite"):
+            EmbeddingConfig(initial_lr=lr)
+
 
 class TestWindows:
     @pytest.mark.parametrize("length,window", [(1, 5), (3, 2), (8, 3), (5, 10)])
     def test_context_size_formula(self, length, window):
-        got = {i: len(ctx) for i, ctx in embedding._sentence_windows(length, window)}
+        sizes = embedding._context_band(length, window).sum(axis=1)
+        got = {i: int(n) for i, n in enumerate(sizes) if n}
         for i in range(length):
             expected = min(window, i) + min(window, length - 1 - i)
             if expected == 0:
@@ -48,7 +154,23 @@ class TestWindows:
                 assert got[i] == expected
 
     def test_singleton_sentence_has_no_windows(self):
-        assert list(embedding._sentence_windows(1, 5)) == []
+        assert not embedding._context_band(1, 5).any()
+
+    @pytest.mark.parametrize("skipgram", [False, True])
+    @pytest.mark.parametrize("length,window", [(2, 5), (3, 2), (8, 3), (5, 10)])
+    def test_examples_follow_the_windows(self, length, window, skipgram):
+        ids = np.arange(10, 10 + length)  # id p + 10 at position p, so ids and positions differ
+        x = derived_rng(length, "window-rows").normal(size=(length, 3))
+        op, targets, center = embedding._examples(ids, window, skipgram)
+        want = list(oracle_examples(list(ids), window, skipgram))
+        assert center.tolist() == [i for i, _ in want]
+        if skipgram:
+            assert targets.tolist() == [context for _, (_, _, context) in want]
+            assert np.array_equal(op @ x, x[center])
+        else:
+            assert targets.tolist() == [c for _, (_, c, _) in want]
+            means = [x[[p - 10 for p in context]].mean(axis=0) for _, (_, _, context) in want]
+            np.testing.assert_allclose(op @ x, np.array(means), rtol=0, atol=1e-15)
 
 
 class TestGradients:
@@ -107,6 +229,110 @@ class TestGradients:
         l1 = cbow_window_loss_grads(w_in, w_out, 0, [1], [0, 0, 0])[0]
         l2 = cbow_window_loss_grads(w_in, w_out, 0, [1], [])[0]
         assert l1 == l2
+
+
+class TestTweetStep:
+    """The batched step against the sum of the scalar oracle gradients at one snapshot."""
+
+    def _tables(self, seed, v=7, dim=4):
+        rng = derived_rng(seed, "tweet-step-tables")
+        return rng.normal(0, 0.5, size=(v, dim)), rng.normal(0, 0.5, size=(v, dim))
+
+    @pytest.mark.parametrize("skipgram", [False, True])
+    @pytest.mark.parametrize(
+        "ids", [[2, 5, 2, 3, 5, 5, 6], [4, 4], [3, 6]], ids=["repeats", "pair-same", "pair"]
+    )
+    def test_step_is_the_sum_of_oracle_steps(self, ids, skipgram):
+        w_in, w_out = self._tables(len(ids) + skipgram)
+        window = 2
+        op, targets, center = embedding._examples(np.array(ids), window, skipgram)
+        window_lr = np.linspace(0.05, 0.04, len(ids))
+        rng = derived_rng(len(ids), "tweet-step-negatives")
+        negatives = rng.integers(0, 7, size=(len(op), 3))
+        negatives[0] = targets[0]  # every noise word of one example is its target
+        negatives[-1, :2] = targets[-1]
+        negatives[-1, 2] = (targets[-1] + 1) % 7
+        losses, want_in, want_out = oracle_step(
+            w_in, w_out, ids, window, skipgram, window_lr, negatives
+        )
+        got_in, got_out = w_in.copy(), w_out.copy()
+        out_ids = np.column_stack([targets, negatives])
+        loss = embedding._tweet_step(
+            got_in, got_out, np.array(ids), op, out_ids, window_lr[center]
+        )
+        assert abs(loss - sum(losses)) <= 1e-12
+        assert np.abs(got_in - want_in).max() <= 1e-12
+        assert np.abs(got_out - want_out).max() <= 1e-12
+
+    @pytest.mark.parametrize("objective", ["cbow", "skipgram"])
+    def test_train_takes_one_oracle_step_per_tweet(self, objective):
+        # three words make noise draws equal to the target certain
+        streams = [("a", "b", "a", "c", "b", "b"), ("c",), ("a", "c")]
+        encoded, vocab = encode_streams(streams)
+        cfg = EmbeddingConfig(dim=4, window=2, epochs=1, negatives=3, objective=objective)
+        w_in = derived_rng(5, "embedding-init").uniform(-0.125, 0.125, size=(len(vocab), 4))
+        w_out = np.zeros_like(w_in)
+        cum = embedding._noise_table(encoded, len(vocab))
+        draws = derived_rng(5, "embedding-train")
+        tweets = [ex.ids for ex in encoded if len(ex.ids) >= 2]  # a one-token tweet has no window
+        total = sum(len(ids) for ids in tweets)
+        step, all_losses, equal_draws = 0, [], 0
+        for ids in tweets:
+            window_lr = 0.025 * (1.0 - 0.9 * (step + np.arange(len(ids))) / (total - 1))
+            negatives = []
+            for _, (_, center, context) in oracle_examples(list(ids), 2, objective == "skipgram"):
+                negatives.append(cum.searchsorted(draws.random(3) * cum[-1]))
+                target = context if objective == "skipgram" else center
+                equal_draws += int((negatives[-1] == target).sum())
+            losses, w_in, w_out = oracle_step(
+                w_in, w_out, list(ids), 2, objective == "skipgram", window_lr, negatives
+            )
+            all_losses += losses
+            step += len(ids)
+        assert equal_draws > 0
+        m = train(encoded, len(vocab), cfg, seed=5)
+        assert np.abs(m.w_in - w_in).max() <= 1e-12
+        assert np.abs(m.w_out - w_out).max() <= 1e-12
+        assert m.epoch_losses[0] == pytest.approx(np.mean(all_losses), rel=0, abs=1e-12)
+
+    def test_one_token_tweets_are_skipped(self):
+        encoded, vocab = encode_streams([("a",), ("b",), ("a",)])
+        m = train(encoded, len(vocab), EmbeddingConfig(dim=4, epochs=2), seed=3)
+        init = derived_rng(3, "embedding-init").uniform(-0.125, 0.125, size=(len(vocab), 4))
+        assert np.array_equal(m.w_in, init)
+        assert not m.w_out.any()
+        assert m.epoch_losses == [0.0, 0.0]
+
+
+_TRAIN_AND_HASH = """
+import hashlib
+from hofkit import corpus
+from hofkit.embedding import EmbeddingConfig, train
+from synthgen import two_clique_corpus
+streams, _ = two_clique_corpus(300, seed=4)
+vocab = corpus.build_vocab(streams, 1)
+encoded = [corpus.encode(s, vocab) for s in streams]
+for objective in ("cbow", "skipgram"):
+    m = train(encoded, len(vocab), EmbeddingConfig(dim=48, window=3, epochs=2, objective=objective), seed=8)
+    print(hashlib.sha256(m.w_in.tobytes() + m.w_out.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_same_seed_same_vectors_at_blas_threads(threads):
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = threads
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _TRAIN_AND_HASH], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert len(runs[0].split()) == 2
+    assert runs[0] == runs[1]
 
 
 class TestTrain:
