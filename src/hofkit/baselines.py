@@ -261,7 +261,9 @@ class DnnModel:
         delta = probs.copy()
         delta[np.arange(len(ys)), ys] -= 1.0  # d(cross-entropy)/d(output logits)
         delta /= len(ys)
-        layer_grads, _ = dense_backward(delta, self._layers(), acts, zs, masks)
+        layer_grads, _ = dense_backward(
+            delta, self._layers(), acts, zs, masks, input_grad=False
+        )
         grads = {}
         for i, (dw, db) in enumerate(layer_grads):
             grads[f"w{i}"], grads[f"b{i}"] = dw, db

@@ -17,10 +17,16 @@ layer stack of ``layers.py``, which also draws the dropout masks and runs the
 shuffled minibatch epoch; the conv banks, max-pool, early stopping and Adam
 live here.
 
-Each batch runs as one packed pass over its padded tweets stacked end to end;
-gradients are reduced over the batch in a fixed order, so a fixed seed
-reproduces runs bitwise. Inference never mutates the model and is safe to
-run concurrently; training is single-writer.
+Each batch runs as one packed pass over its padded tweets stacked end to end.
+The convolution projects each distinct id of the pass once through every bank
+and offset (one product against the banks' weights laid out side by side),
+and a window then sums the projections of its words: a bank-h window at t is
+``b + sum_j mask[t+j] * (emb[ids[t+j]] @ W_j.T)``, Kim's convolution with its
+sums taken in another order. Backward scatters each (tweet, filter) argmax's
+gradient onto those projections and forms the conv and embedding gradients
+from them with two products. Gradients are reduced over the batch in a fixed
+order, so a fixed seed reproduces runs bitwise. Inference never mutates the
+model and is safe to run concurrently; training is single-writer.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ __all__ = [
 FILTER_HEIGHTS = (3, 4, 5)
 M_MIN = 5  # sequences are padded so the tallest filter always fits
 PROB_CLAMP = 1e-7
-INFER_BATCH = 32  # tweets per packed inference pass; bounds the window matrices
+INFER_BATCH = 32  # tweets per packed inference pass; bounds the projection matrices
 
 PARAM_ORDER = (
     "emb",
@@ -265,13 +271,31 @@ class CnnModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _forward(self, id_lists: Sequence, masks: Optional[Sequence] = None) -> tuple:
+    def _conv_weights(self) -> np.ndarray:
+        """Every filter bank's weights as one (sum of h * count, embed_dim) matrix.
+
+        Bank h's weights are ``[W_0 ... W_{h-1}]``, one (count, embed_dim) block
+        per window offset; they fill h row blocks here, offset j's block being
+        ``W_j``. So ``x @ conv_w.T`` projects a word row through every offset
+        of every bank at once.
+        """
+        n = self.cfg.embed_dim
+        return np.concatenate(
+            [
+                self.params[f"conv{h}_w"].reshape(count, h, n).transpose(1, 0, 2).reshape(-1, n)
+                for h, count in zip(FILTER_HEIGHTS, self.cfg.filter_counts)
+            ]
+        )
+
+    def _forward(
+        self, id_lists: Sequence, masks: Optional[Sequence] = None, conv_w=None
+    ) -> tuple:
         """P(HOF) per tweet (float64) and the intermediates backward needs.
 
-        ``masks`` holds one ``make_masks`` dict per tweet, or None for inference.
+        ``masks`` holds one ``make_masks`` dict per tweet, or None for inference;
+        ``conv_w`` is ``_conv_weights()``, laid out afresh when not given.
         """
         p, cfg = self.params, self.cfg
-        n = cfg.embed_dim
         padded = [_pad_ids(ids, cfg.m_max) for ids in id_lists]
         lengths = np.array([len(t) for t in padded])
         ids = np.concatenate(padded)  # no padding to a common length
@@ -279,28 +303,41 @@ class CnnModel:
         room = np.concatenate([np.arange(len(t), 0, -1) for t in padded])
         input_mask, head_masks = None, {}
         if masks is not None:  # input masks end to end; the head's masks one row per tweet
-            input_mask = np.concatenate([mk["input"] for mk in masks])[:, None]
+            input_mask = np.concatenate([mk["input"] for mk in masks])
             banks = [np.stack([mk[f"bank{h}"] for mk in masks]) for h in FILTER_HEIGHTS]
             head_masks = {
                 0: np.concatenate(banks, axis=1),
                 1: np.stack([mk["dense"] for mk in masks]),
             }
-        x = p["emb"][ids]
-        if input_mask is not None:
-            x = x * input_mask
+        if conv_w is None:
+            conv_w = self._conv_weights()
+        # each distinct id goes through every bank and offset once; a window
+        # then sums its words' projections, each scaled by its input mask
+        u, inv = np.unique(ids, return_inverse=True)
+        emb_u = p["emb"][u]
+        proj = emb_u @ conv_w.T
 
-        saved = {"ids": ids, "input_mask": input_mask, "head_masks": head_masks}
+        saved = {"u": u, "inv": inv, "emb_u": emb_u, "conv_w": conv_w,
+                 "input_mask": input_mask, "head_masks": head_masks, "ids": ids}
         pooled_parts = []
-        for h in FILTER_HEIGHTS:
+        col = 0
+        for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
             rows = np.flatnonzero(room >= h)  # window starts
-            s = x[rows[:, None] + np.arange(h)].reshape(len(rows), h * n)
-            z = s @ p[f"conv{h}_w"].T + p[f"conv{h}_b"]
+            for j in range(h):
+                term = proj[inv[rows + j], col : col + count]
+                if input_mask is not None:
+                    term *= input_mask[rows + j, None]
+                if j:
+                    z += term
+                else:
+                    z = term
+                col += count
+            z += p[f"conv{h}_b"]
             counts = lengths - h + 1
             first = np.cumsum(counts) - counts
             # ReLU is monotone, so it commutes with the max: pool, then clip
             pooled = np.maximum(np.maximum.reduceat(z, first, axis=0), 0.0)
-            saved[h] = {"rows": rows, "s": s, "z": z, "pooled": pooled, "first": first,
-                        "counts": counts}
+            saved[h] = {"rows": rows, "z": z, "pooled": pooled, "first": first, "counts": counts}
             pooled_parts.append(pooled)
 
         acts, zs = dense_forward(np.concatenate(pooled_parts, axis=1), self._head(), head_masks)
@@ -315,12 +352,21 @@ class CnnModel:
         return [(p["dense_w"], p["dense_b"]), (p["out_w"][:, None], p["out_b"])]
 
     def predict_proba(self, id_lists: Sequence[Sequence[int]]) -> np.ndarray:
-        """P(HOF) per encoded tweet, computed INFER_BATCH tweets at a time."""
-        chunks = [
-            self._forward(id_lists[i : i + INFER_BATCH])[0]
-            for i in range(0, len(id_lists), INFER_BATCH)
-        ]
-        return np.concatenate(chunks) if chunks else np.zeros(0)
+        """P(HOF) per encoded tweet, computed INFER_BATCH tweets at a time.
+
+        Raises ValueError if a probability is not finite, as parameters whose
+        products overflow (say, from a corrupt checkpoint) give.
+        """
+        conv_w = self._conv_weights()
+        with np.errstate(over="ignore", invalid="ignore"):
+            chunks = [
+                self._forward(id_lists[i : i + INFER_BATCH], conv_w=conv_w)[0]
+                for i in range(0, len(id_lists), INFER_BATCH)
+            ]
+        probs = np.concatenate(chunks) if chunks else np.zeros(0)
+        if not np.isfinite(probs).all():
+            raise ValueError("the model gives a non-finite probability: its parameters overflow")
+        return probs
 
     def forward(self, ids: Sequence[int]) -> float:
         """Probability of HOF for one encoded tweet."""
@@ -349,7 +395,7 @@ class CnnModel:
 
         Max-pool routes gradient only to the (first) argmax position; dropout
         masks are the ones used in the forward pass; the embedding gradient
-        accumulates per token occurrence and the pad row stays at zero.
+        holds the pass's distinct ids, and the pad row stays at zero.
         """
         p, cfg = self.params, self.cfg
         probs, saved = self._forward([ex.ids for ex in batch], masks_list)
@@ -366,40 +412,39 @@ class CnnModel:
         )
         grads = {"dense_w": dense_w, "dense_b": dense_b, "out_w": out_w.ravel(), "out_b": out_b}
 
-        ids = saved["ids"]
-        dx = np.zeros((len(ids), cfg.embed_dim), dtype=self.dtype)
-        offset = 0
+        # dz is non-zero only at each (tweet, filter) argmax window; scatter it,
+        # times the input mask, onto the projection of every id the window reads
+        u, inv, input_mask = saved["u"], saved["inv"], saved["input_mask"]
+        d_proj = np.zeros((len(u), len(saved["conv_w"])), dtype=self.dtype)
+        targets, values = [], []
+        offset = col = 0
         for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
             dpooled = dpooled_all[:, offset : offset + count]
             offset += count
             z, rows = saved[h]["z"], saved[h]["rows"]
             arg = _first_argmax(saved[h])
             cols = np.arange(count)
-            dz = np.zeros_like(z)
-            dz[arg, cols] = dpooled * (z[arg, cols] > 0)
-            grads[f"conv{h}_w"] = dz.T @ saved[h]["s"]
+            dz = dpooled * (z[arg, cols] > 0)
             grads[f"conv{h}_b"] = dz.sum(axis=0)
-            ds = (dz @ p[f"conv{h}_w"]).reshape(len(rows), h, cfg.embed_dim)
-            for j in range(h):  # rows + j are distinct, so each add is safe
-                dx[rows + j] += ds[:, j]
+            start = rows[arg]
+            for j in range(h):
+                targets.append(inv[start + j] * d_proj.shape[1] + col + cols)
+                values.append(dz if input_mask is None else dz * input_mask[start + j])
+                col += count
+        np.add.at(d_proj.reshape(-1), np.concatenate(targets, axis=None),
+                  np.concatenate(values, axis=None))
 
-        if saved["input_mask"] is not None:
-            dx = dx * saved["input_mask"]
-        grads["emb"] = _sum_rows(ids, dx, len(p["emb"]))
+        n = cfg.embed_dim
+        d_conv_w = d_proj.T @ saved["emb_u"]  # laid out as _conv_weights
+        row = 0
+        for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
+            block = d_conv_w[row : row + h * count]
+            grads[f"conv{h}_w"] = block.reshape(h, count, n).transpose(1, 0, 2).reshape(count, -1)
+            row += h * count
+        d_emb = d_proj @ saved["conv_w"]
+        d_emb[u == PAD_ID] = 0.0
+        grads["emb"] = RowSparse(u, d_emb, p["emb"].shape)
         return loss, grads
-
-
-def _sum_rows(ids: np.ndarray, dx: np.ndarray, vocab_size: int) -> "RowSparse":
-    """The embedding gradient: row ``ids[i]`` gets ``dx[i]``; the pad row gets zero.
-
-    Each row sums its occurrences in the order of ``ids``, the order a dense
-    ``np.add.at`` into a (vocab_size x n) zero array would add them in.
-    """
-    rows, occurrence_row = np.unique(ids, return_inverse=True)
-    block = np.zeros((len(rows), dx.shape[1]), dtype=dx.dtype)
-    np.add.at(block, occurrence_row, dx)
-    block[rows == PAD_ID] = 0.0
-    return RowSparse(rows, block, (vocab_size, dx.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -591,7 +636,10 @@ def load_checkpoint(path, vocab: Optional[Vocabulary] = None) -> CnnModel:
             line = fh.readline()
             if not line:
                 raise ValueError("truncated checkpoint: manifest has no end marker")
-            text = line.decode("utf-8").rstrip("\n")
+            try:
+                text = line.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"checkpoint manifest is not UTF-8 text: {exc.reason}") from None
             if text == "end":
                 break
             key, _, value = text.partition(" ")
@@ -607,6 +655,8 @@ def load_checkpoint(path, vocab: Optional[Vocabulary] = None) -> CnnModel:
         _manifest_values(manifest, key, int, 1)[0]
         for key in ("vocab_size", "embed_dim", "pooled_width", "dense_units", "m_max")
     )
+    if vocab_size < 2:  # every vocabulary holds the pad and unknown rows
+        raise ValueError(f"checkpoint manifest key 'vocab_size' must be >= 2, got {vocab_size}")
     counts = _manifest_values(manifest, "filter_counts", int, len(FILTER_HEIGHTS))
     if pooled_width != sum(counts):
         raise ValueError(f"{sum(counts)} expected for pooled width, got {pooled_width}")

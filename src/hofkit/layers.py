@@ -42,15 +42,20 @@ def dense_forward(x: np.ndarray, layers: list, masks: dict) -> tuple:
     return acts, zs
 
 
-def dense_backward(delta: np.ndarray, layers: list, acts: list, zs: list, masks: dict) -> tuple:
+def dense_backward(
+    delta: np.ndarray, layers: list, acts: list, zs: list, masks: dict, input_grad: bool = True
+) -> tuple:
     """Gradients of the stack from d(loss)/d(logits).
 
     Returns ``([(dw, db) per layer], d(loss)/d(input))``, the input being the
-    unmasked ``x`` given to ``dense_forward``.
+    unmasked ``x`` given to ``dense_forward``. With ``input_grad`` false the
+    product that forms d(loss)/d(input) is skipped and None takes its place.
     """
     grads = []
     for i in reversed(range(len(layers))):
         grads.insert(0, (acts[i].T @ delta, delta.sum(axis=0)))
+        if not (i or input_grad):
+            return grads, None
         da = delta @ layers[i][0].T
         if i in masks:
             da = da * masks[i]

@@ -624,6 +624,64 @@ class TestGarbledVectorsFile:
         assert rc == 1 and "not-a-number" in err and err.count("\n") == 1
 
 
+class TestGarbledCheckpoint:
+    """``predict`` on a truncated, bit-flipped or garbled checkpoint gives success
+    or exactly one error line, and leaves no output behind."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_predict(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            tsv, vectors, ckpt, _ = TestGarbledVectorsFile._workspace(root)
+            raw = ckpt.read_bytes()
+            manifest_end = raw.index(b"\nend\n") + len(b"\nend\n")
+            edit = data.draw(st.sampled_from(["truncate", "flip", "manifest"]), label="edit")
+            if edit == "truncate":
+                raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="size")]
+            elif edit == "flip":  # xor a few bytes of the manifest or of the parameters
+                lo, hi = data.draw(
+                    st.sampled_from([(0, manifest_end), (manifest_end, len(raw))]), label="part"
+                )
+                raw = bytearray(raw)
+                for _ in range(data.draw(st.integers(1, 4), label="flips")):
+                    pos = data.draw(st.integers(lo, hi - 1), label="pos")
+                    raw[pos] ^= data.draw(st.integers(1, 255), label="xor")
+                raw = bytes(raw)
+            else:  # one manifest line's value replaced, or the line dropped
+                lines = raw[:manifest_end].split(b"\n")
+                i = data.draw(st.integers(0, len(lines) - 2), label="line")
+                key = lines[i].partition(b" ")[0]
+                value = data.draw(
+                    st.one_of(_JUNK, st.sampled_from([b"0", b"-1", b"1", b"2", b"9" * 30,
+                                                      b"1,1,2", b"0.5,0.5", b"nan,inf"])),
+                    label="value",
+                )
+                lines[i] = b"" if data.draw(st.booleans(), label="drop") else key + b" " + value
+                raw = b"\n".join(lines) + raw[manifest_end:]
+            ckpt.write_bytes(raw)
+
+            out = root / "preds.tsv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a vocabulary mismatch warns
+                rc, err = _run_quietly(["predict", str(ckpt), str(tsv), "--embeddings",
+                                        str(vectors), "--out", str(out)])
+            TestGarbledVectorsFile._assert_one_outcome(rc, err, out)
+
+    def test_overflowing_parameters(self, tmp_path):
+        tsv, vectors, ckpt, _ = TestGarbledVectorsFile._workspace(tmp_path)
+        model = cnn.load_checkpoint(ckpt)
+        model.params["conv3_w"][...] = 3e38  # finite, but every window's sum overflows
+        cnn.save_checkpoint(model, ckpt)
+        out = tmp_path / "preds.tsv"
+        rc, err = _run_quietly(["predict", str(ckpt), str(tsv), "--embeddings", str(vectors),
+                                "--out", str(out)])
+        assert rc == 1 and err == (
+            "error: the model gives a non-finite probability: its parameters overflow\n"
+        )
+        assert not out.exists()
+
+
 class TestCvCmd:
     def _run(self, tmp_path, seed=2):
         tmp_path.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,7 @@ from hofkit.cnn import (
     vocab_hash,
 )
 from hofkit.corpus import EncodedExample
+from hofkit.layers import dense_backward, dense_forward
 from hofkit.seeding import derived_rng
 
 from gradcheck import finite_difference, group_relative_error
@@ -58,6 +59,84 @@ def dense_emb_grad(ids, dx, vocab_size):
     np.add.at(grad, ids, dx)
     grad[corpus.PAD_ID] = 0.0
     return grad
+
+
+def packed_forward(model, id_lists, masks=None):
+    """The im2col convolution: each window's rows stacked into one matrix row.
+
+    Returns P(HOF) per tweet and, per bank height, the window starts ``rows``,
+    the window matrix ``s``, ``z``, ``pooled``, ``first`` and ``counts``, plus
+    the ids, the input mask and what the dense head saved.
+    """
+    p, cfg = model.params, model.cfg
+    n = cfg.embed_dim
+    padded = [_pad_ids(ids, cfg.m_max) for ids in id_lists]
+    lengths = np.array([len(t) for t in padded])
+    ids = np.concatenate(padded)
+    room = np.concatenate([np.arange(len(t), 0, -1) for t in padded])
+    input_mask, head_masks = None, {}
+    if masks is not None:
+        input_mask = np.concatenate([mk["input"] for mk in masks])[:, None]
+        banks = [np.stack([mk[f"bank{h}"] for mk in masks]) for h in cnn.FILTER_HEIGHTS]
+        head_masks = {0: np.concatenate(banks, axis=1), 1: np.stack([mk["dense"] for mk in masks])}
+    x = p["emb"][ids]
+    if input_mask is not None:
+        x = x * input_mask
+    saved = {"ids": ids, "input_mask": input_mask, "head_masks": head_masks}
+    pooled_parts = []
+    for h in cnn.FILTER_HEIGHTS:
+        rows = np.flatnonzero(room >= h)
+        s = x[rows[:, None] + np.arange(h)].reshape(len(rows), h * n)
+        z = s @ p[f"conv{h}_w"].T + p[f"conv{h}_b"]
+        counts = lengths - h + 1
+        first = np.cumsum(counts) - counts
+        pooled = np.maximum(np.maximum.reduceat(z, first, axis=0), 0.0)
+        saved[h] = {"rows": rows, "s": s, "z": z, "pooled": pooled, "first": first,
+                    "counts": counts}
+        pooled_parts.append(pooled)
+    acts, zs = dense_forward(np.concatenate(pooled_parts, axis=1), model._head(), head_masks)
+    saved.update(acts=acts, zs=zs)
+    logit = zs[1][:, 0].astype(np.float64)
+    return 1.0 / (1.0 + np.exp(-logit)), saved
+
+
+def packed_loss_grads(model, batch, masks=None):
+    """Mean loss and dense gradients through ``packed_forward``'s windows.
+
+    Each window's gradient goes back through ``dz.T @ s`` and, per offset, onto
+    the word rows it read; the embedding gradient is one dense ``np.add.at``.
+    """
+    p, cfg = model.params, model.cfg
+    probs, saved = packed_forward(model, [ex.ids for ex in batch], masks)
+    y = np.array([ex.label for ex in batch])
+    loss = float(np.mean(bce_loss(probs, y)))
+    inside = (probs > cnn.PROB_CLAMP) & (probs < 1.0 - cnn.PROB_CLAMP)
+    dlogit = (np.where(inside, probs - y, 0.0) / len(batch)).astype(model.dtype)
+    ((dense_w, dense_b), (out_w, out_b)), dpooled_all = dense_backward(
+        dlogit[:, None], model._head(), saved["acts"], saved["zs"], saved["head_masks"]
+    )
+    grads = {"dense_w": dense_w, "dense_b": dense_b, "out_w": out_w.ravel(), "out_b": out_b}
+    ids = saved["ids"]
+    dx = np.zeros((len(ids), cfg.embed_dim), dtype=model.dtype)
+    offset = 0
+    for h, count in zip(cnn.FILTER_HEIGHTS, cfg.filter_counts):
+        dpooled = dpooled_all[:, offset : offset + count]
+        offset += count
+        z, rows = saved[h]["z"], saved[h]["rows"]
+        arg = cnn._first_argmax(saved[h])
+        cols = np.arange(count)
+        dz = np.zeros_like(z)
+        dz[arg, cols] = dpooled * (z[arg, cols] > 0)
+        grads[f"conv{h}_w"] = dz.T @ saved[h]["s"]
+        grads[f"conv{h}_b"] = dz.sum(axis=0)
+        ds = (dz @ p[f"conv{h}_w"]).reshape(len(rows), h, cfg.embed_dim)
+        for j in range(h):
+            dx[rows + j] += ds[:, j]
+    if saved["input_mask"] is not None:
+        dx = dx * saved["input_mask"]
+    grads["emb"] = dense_emb_grad(ids, dx, len(p["emb"]))
+    saved["dx"] = dx
+    return loss, grads, saved
 
 
 def adam_textbook(params, grads_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
@@ -287,47 +366,68 @@ class TestBackward:
         _, grads = model.batch_loss_grads(batch)
         assert not np.asarray(grads["emb"])[corpus.PAD_ID].any()
 
+
+# batches for the oracle comparison: ids repeat within and across tweets,
+# tweets of length 0-4 are mostly or all padding, and some exceed m_max = 7
+ORACLE_BATCHES = [
+    [(3, 3, 5, 3, 8, 5), (5, 2), (8, 1, 3, 3, 2, 2, 7)],
+    [(), (1,), (2, 2), (3, 4, 3), (5, 5, 5, 5), (6, 1, 6, 1, 6)],
+    [tuple(range(1, 9)) * 2, (4,) * 10, (7, 7, 2), tuple(range(8, 0, -1))],
+]
+
+
+def _oracle_batches(rng):
+    labelled = [
+        [EncodedExample(ids, i % 2) for i, ids in enumerate(batch)] for batch in ORACLE_BATCHES
+    ]
+    sizes = rng.integers(0, 13, size=9)
+    return labelled + [random_batch(rng, sizes=sizes, labels=[i % 2 for i in range(9)])]
+
+
+def _relative(got, want) -> float:
+    """Largest difference over the largest magnitude of ``want``."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-30))
+
+
+class TestProjectionMatchesPackedOracle:
+    """The token-projection convolution equals the im2col convolution it replaced."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_row_sparse_gradient_equals_dense_add_at_bitwise(self, dtype, monkeypatch):
-        # no input dropout, so the pad row's occurrences carry a gradient to discard
-        model, rng = small_model(seed=7, dropout=DropoutSpec(input=0.0), dtype=dtype)
-        # ids repeat within a tweet and across tweets; short tweets are padded
-        batch = [
-            EncodedExample((3, 3, 5, 3, 8, 5), 1),
-            EncodedExample((5, 2), 0),
-            EncodedExample((8, 1, 3, 3, 2, 2, 7), 1),
-        ]
+    @pytest.mark.parametrize("input_rate", [None, 0.0, 0.5])
+    def test_forward_and_gradients(self, dtype, input_rate):
+        # None: inference, no masks; 0.0: masks with input dropout off, so the
+        # pad row's occurrences carry a gradient to discard; 0.5: input dropout on
+        dropout = DropoutSpec.none() if input_rate is None else DropoutSpec(input=input_rate)
+        model, rng = small_model(seed=7, dropout=dropout, dtype=dtype)
+        tol = 1e-12 if dtype == np.float64 else 1e-6
         mask_rng = derived_rng(7, "cnn-test-masks")
-        masks = [
-            model.make_masks(len(_pad_ids(ex.ids, model.cfg.m_max)), mask_rng)
-            for ex in batch
-        ]
-        seen = []
+        for batch in _oracle_batches(rng):
+            id_lists = [ex.ids for ex in batch]
+            masks = None
+            if input_rate is not None:
+                masks = [
+                    model.make_masks(len(_pad_ids(ids, model.cfg.m_max)), mask_rng)
+                    for ids in id_lists
+                ]
+            want_loss, want, oracle = packed_loss_grads(model, batch, masks)
+            probs, saved = model._forward(id_lists, masks)
+            assert np.abs(probs - packed_forward(model, id_lists, masks)[0]).max() < tol
+            for h in cnn.FILTER_HEIGHTS:
+                assert _relative(saved[h]["z"], oracle[h]["z"]) < tol, h
+                assert _relative(saved[h]["pooled"], oracle[h]["pooled"]) < tol, h
+                assert np.array_equal(cnn._first_argmax(saved[h]), cnn._first_argmax(oracle[h]))
 
-        def recording_sum_rows(ids, dx, vocab_size):
-            seen.append((ids, dx))
-            return sum_rows(ids, dx, vocab_size)
-
-        sum_rows = cnn._sum_rows
-        monkeypatch.setattr(cnn, "_sum_rows", recording_sum_rows)
-        _, grads = model.batch_loss_grads(batch, masks)
-        (ids, dx), = seen
-        assert (dx[ids == corpus.PAD_ID] != 0).any()
-        sparse = grads["emb"]
-        assert np.array_equal(sparse.rows, np.unique(ids))
-        want = dense_emb_grad(ids, dx, len(model.params["emb"]))
-        got = np.asarray(sparse)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sum_rows_matches_dense_add_at_bitwise(self, dtype):
-        rng = derived_rng(1, f"sum-rows-{np.dtype(dtype).name}")
-        for _ in range(50):
-            ids = rng.integers(0, 9, size=int(rng.integers(1, 40)))
-            signs = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(len(ids), 3))
-            dx = (signs * 10.0 ** rng.uniform(-6, 3, size=signs.shape)).astype(dtype)
-            got = np.asarray(cnn._sum_rows(ids, dx, 11))
-            assert got.tobytes() == dense_emb_grad(ids, dx, 11).tobytes()
+            loss, grads = model.batch_loss_grads(batch, masks)
+            assert abs(loss - want_loss) < tol
+            for key in cnn.PARAM_ORDER:
+                assert np.asarray(grads[key]).dtype == dtype, key
+                assert _relative(grads[key], want[key]) < tol, key
+            ids = oracle["ids"]
+            assert np.array_equal(grads["emb"].rows, np.unique(ids))
+            assert not np.asarray(grads["emb"])[corpus.PAD_ID].any()
+            if input_rate == 0.0:
+                assert (oracle["dx"][ids == corpus.PAD_ID] != 0).any()
 
 
 class TestDropout:
@@ -520,6 +620,23 @@ class TestCheckpoint:
         patched = text.replace(b"pooled_width 8", b"pooled_width 9")
         path.write_bytes(patched)
         with pytest.raises(ValueError, match="8 expected"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("size", [b"1", b"0", b"-1", b"-12"])
+    def test_vocab_size_below_two_rejected(self, tmp_path, size):
+        model = self._trained_small(tmp_path)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes().replace(b"vocab_size 12", b"vocab_size " + size))
+        with pytest.raises(ValueError, match="'vocab_size' must be >= 2"):
+            load_checkpoint(path)
+
+    def test_manifest_that_is_not_utf8_rejected(self, tmp_path):
+        model = self._trained_small(tmp_path)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes().replace(b"embed_dim", b"\xefmbed_dim"))
+        with pytest.raises(ValueError, match="checkpoint manifest is not UTF-8 text"):
             load_checkpoint(path)
 
     def test_vocab_hash_mismatch_warns(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hofkit.baselines import DnnConfig, DnnModel
 from hofkit.layers import dense_backward, dense_forward, dropout_mask, run_epoch
 from hofkit.seeding import derived_rng
 
@@ -37,6 +38,19 @@ class TestDropoutMask:
         assert np.array_equal(got, want)
 
 
+def dense_backward_oracle(delta, layers, acts, zs, masks):
+    """The stack's backward pass as it was when it always formed d(loss)/d(input)."""
+    grads = []
+    for i in reversed(range(len(layers))):
+        grads.insert(0, (acts[i].T @ delta, delta.sum(axis=0)))
+        da = delta @ layers[i][0].T
+        if i in masks:
+            da = da * masks[i]
+        if i:
+            delta = da * (zs[i - 1] > 0)
+    return grads, da
+
+
 def three_layer_stack(seed):
     rng = derived_rng(seed, "layers-stack")
     dims = [6, 5, 4, 3]
@@ -67,6 +81,37 @@ class TestDenseBackward:
             assert group_relative_error(dw, finite_difference(loss, w, h=1e-6)) < 1e-6
             assert group_relative_error(db, finite_difference(loss, b, h=1e-6)) < 1e-6
         assert group_relative_error(dx, finite_difference(loss, x, h=1e-6)) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_input_gradient_skipped_on_request_only(self, seed):
+        layers, x, masks, weights = three_layer_stack(seed)
+        acts, zs = dense_forward(x, layers, masks)
+        want, want_dx = dense_backward_oracle(weights, layers, acts, zs, masks)
+        for input_grad in (True, False):
+            grads, dx = dense_backward(weights, layers, acts, zs, masks, input_grad=input_grad)
+            assert (dx is None) == (not input_grad)
+            if input_grad:
+                assert dx.tobytes() == want_dx.tobytes()
+            for (dw, db), (want_dw, want_db) in zip(grads, want):
+                assert dw.tobytes() == want_dw.tobytes() and db.tobytes() == want_db.tobytes()
+
+    def test_dnn_gradients_bit_identical_to_full_backward(self):
+        model = DnnModel(12, DnnConfig(seed=3))
+        rng = derived_rng(3, "dnn-grads")
+        xs = rng.poisson(1.0, size=(9, 12)).astype(np.float64)
+        ys = rng.integers(0, 2, size=9)
+        masks_list = [model.make_masks(rng) for _ in ys]
+        _, grads = model.batch_loss_grads(xs, ys, masks_list)
+        masks = {site: np.stack([m[site] for m in masks_list]) for site in masks_list[0]}
+        acts, zs, probs = model._forward(xs, masks)
+        delta = probs.copy()
+        delta[np.arange(len(ys)), ys] -= 1.0
+        delta /= len(ys)
+        want, _ = dense_backward_oracle(delta, model._layers(), acts, zs, masks)
+        assert sorted(grads) == sorted(f"{k}{i}" for i in range(len(want)) for k in "wb")
+        for i, (dw, db) in enumerate(want):
+            assert grads[f"w{i}"].tobytes() == dw.tobytes()
+            assert grads[f"b{i}"].tobytes() == db.tobytes()
 
     def test_relu_after_every_layer_but_the_last(self):
         layers = [(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))]
