@@ -27,7 +27,6 @@ __all__ = [
     "RidgeModel",
     "ridge_train",
     "ridge_predict",
-    "knn_predict",
     "DnnConfig",
     "DnnModel",
     "make_baseline",
@@ -162,8 +161,8 @@ def _knn_vote(queries: np.ndarray, train: np.ndarray, labels: Sequence[int], k: 
     """Majority vote among the k most similar training rows, per query row.
 
     Both matrices hold unit-norm (or zero) rows, so one product gives every
-    cosine. Similarity ties keep training order (lower index wins); vote ties
-    go to HOF.
+    cosine; a zero row has similarity 0 to everything. Similarity ties keep
+    training order (lower index wins); vote ties go to HOF.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -174,16 +173,6 @@ def _knn_vote(queries: np.ndarray, train: np.ndarray, labels: Sequence[int], k: 
         HOF if votes_for[np.argsort(-row, kind="stable")[:k]].sum() >= 0 else NOT
         for row in queries @ train.T
     ]
-
-
-def knn_predict(q: np.ndarray, train: np.ndarray, labels: Sequence[int], k: int) -> int:
-    """Majority vote among the k most cosine-similar training vectors.
-
-    Zero-norm vectors have similarity 0 to everything. Similarity ties keep
-    training order (lower index wins); vote ties go to HOF.
-    """
-    unit_q = _unit_rows(np.array(q, dtype=np.float64, ndmin=2))
-    return _knn_vote(unit_q, _unit_rows(np.array(train, dtype=np.float64)), labels, k)[0]
 
 
 # -- feedforward network -----------------------------------------------------
@@ -207,6 +196,9 @@ class DnnModel:
     Inverted dropout on the input vector and the first two hidden
     activations, per-site rates from the config. The six layers are one
     stack of ``layers.py``, which also runs the shuffled minibatch epoch.
+    A minibatch's masks are one (B, V + h1 + h2) draw: row by row, each
+    example's input, first and second hidden masks, the order in which drawing
+    one example's masks at a time takes them.
     """
 
     def __init__(self, input_dim: int, cfg: DnnConfig = DnnConfig()):
@@ -221,17 +213,13 @@ class DnnModel:
             self.params[f"b{i}"] = np.zeros(dims[i + 1])
         self.n_layers = len(dims) - 1
 
-    # masks[i] applies to the activation feeding layer i (0 = input vector)
-    def make_masks(self, rng: np.random.Generator) -> dict:
+    def make_masks(self, n: int, rng: np.random.Generator) -> dict:
+        """Masks of ``n`` examples from one draw: site i masks the input of layer i."""
         cfg = self.cfg
-        return {
-            idx: dropout_mask(size, rate, rng, np.float64)
-            for idx, rate, size in (
-                (0, cfg.dropout_input, self.input_dim),
-                (1, cfg.dropout_h1, cfg.hidden[0]),
-                (2, cfg.dropout_h2, cfg.hidden[1]),
-            )
-        }
+        widths = (self.input_dim, cfg.hidden[0], cfg.hidden[1])
+        rates = np.repeat([cfg.dropout_input, cfg.dropout_h1, cfg.dropout_h2], widths)
+        mask = dropout_mask((n, len(rates)), rates, rng, np.float64)
+        return dict(enumerate(np.split(mask, np.cumsum(widths)[:-1], axis=1)))
 
     def _layers(self) -> list:
         return [(self.params[f"w{i}"], self.params[f"b{i}"]) for i in range(self.n_layers)]
@@ -251,12 +239,12 @@ class DnnModel:
         probs = self.predict_proba(x)
         return np.where(probs[..., HOF] >= probs[..., NOT], HOF, NOT)
 
-    def batch_loss(self, xs: np.ndarray, ys: Sequence[int], masks_list=None) -> float:
-        probs = self._forward(xs, _stack_masks(masks_list))[2]
-        return _mean_nll(probs, ys)
+    def batch_loss(self, xs: np.ndarray, ys: Sequence[int], masks=None) -> float:
+        """Mean NLL, with optional fixed ``make_masks`` dropout masks."""
+        return _mean_nll(self._forward(xs, masks or {})[2], ys)
 
-    def batch_loss_grads(self, xs: np.ndarray, ys: Sequence[int], masks_list=None):
-        masks = _stack_masks(masks_list)
+    def batch_loss_grads(self, xs: np.ndarray, ys: Sequence[int], masks=None):
+        masks = masks or {}
         acts, zs, probs = self._forward(xs, masks)
         delta = probs.copy()
         delta[np.arange(len(ys)), ys] -= 1.0  # d(cross-entropy)/d(output logits)
@@ -276,8 +264,7 @@ class DnnModel:
         ys = np.asarray(ys)
 
         def loss_grads(idx):
-            masks_list = [self.make_masks(mask_rng) for _ in idx]
-            return self.batch_loss_grads(xs[idx], ys[idx], masks_list)
+            return self.batch_loss_grads(xs[idx], ys[idx], self.make_masks(len(idx), mask_rng))
 
         def sgd(grads):
             for k in self.params:
@@ -287,13 +274,6 @@ class DnnModel:
             run_epoch(xs.shape[0], cfg.batch_size, shuffle_rng, loss_grads, sgd, epoch)
             for epoch in range(1, cfg.epochs + 1)
         ]
-
-
-def _stack_masks(masks_list) -> dict:
-    """Per-example {site: mask} dicts -> one {site: (B, width)} dict."""
-    if masks_list is None:
-        return {}
-    return {site: np.stack([m[site] for m in masks_list]) for site in masks_list[0]}
 
 
 def _mean_nll(probs: np.ndarray, ys: Sequence[int]) -> float:
@@ -308,12 +288,14 @@ class _BaselineWrapper:
     """fit/predict facade over a baseline family for grid search and the CLI.
 
     Each fit and each predict_batch featurizes its examples into one matrix.
+    The DNN takes ``seed`` unless ``params`` names its own.
     """
 
-    def __init__(self, family: str, params: dict, vocab_size: int):
+    def __init__(self, family: str, params: dict, vocab_size: int, seed: int = 0):
         self.family = family
         self.params = dict(params)
         self.vocab_size = vocab_size
+        self.seed = seed
         self._featurizer = BowFeaturizer(vocab_size, "count" if family == "mnb" else "tfidf")
         self._fitted = None
 
@@ -333,7 +315,7 @@ class _BaselineWrapper:
                 lr=p.get("lr", 0.04),
                 epochs=p.get("epochs", 200),
                 batch_size=p.get("batch_size", 32),
-                seed=p.get("seed", 0),
+                seed=p.get("seed", self.seed),
             )
             self._fitted = DnnModel(self.vocab_size, cfg)
             self._fitted.fit(x, labels)
@@ -361,10 +343,10 @@ DEFAULT_GRIDS = {
 }
 
 
-def make_baseline(family: str, params: dict, vocab_size: int) -> _BaselineWrapper:
+def make_baseline(family: str, params: dict, vocab_size: int, seed: int = 0) -> _BaselineWrapper:
     if family not in BASELINE_FAMILIES:
         raise ValueError(f"unknown baseline family {family!r}")
-    return _BaselineWrapper(family, params, vocab_size)
+    return _BaselineWrapper(family, params, vocab_size, seed)
 
 
 def expand_grid(grid) -> list:
@@ -401,7 +383,8 @@ def grid_search(
 ) -> GridSearchResult:
     """Exhaustive search scored by mean macro-F1 over k-fold cross-validation.
 
-    Ties keep the first grid point in declaration order.
+    ``seed`` splits the folds and seeds the DNN. Ties keep the first grid
+    point in declaration order.
     """
     points = expand_grid(grid)
     if not points:
@@ -415,7 +398,7 @@ def grid_search(
         for train_idx, test_idx in partitions:
             train = [examples[i] for i in train_idx]
             test = [examples[i] for i in test_idx]
-            model = make_baseline(family, params, vocab_size).fit(train)
+            model = make_baseline(family, params, vocab_size, seed).fit(train)
             preds = model.predict_batch(test)
             scores.append(macro_f1(preds, [ex.label for ex in test]))
         mean = sum(scores) / len(scores)

@@ -13,9 +13,16 @@ a row has zero moments and zero gradient, so its Adam step is
 ``lr * 0 / (0 + eps)``, exactly zero for any ``eps > 0``. Dropout is inverted
 (survivors scaled by 1/keep) at four sites: input word rows, pooled features
 of each bank, and dense activations. The dense layer and the output form one
-layer stack of ``layers.py``, which also draws the dropout masks and runs the
-shuffled minibatch epoch; the conv banks, max-pool, early stopping and Adam
-live here.
+layer stack of ``layers.py``, which also holds the dropout formula and runs
+the shuffled minibatch epoch; the conv banks, max-pool, early stopping and
+Adam live here.
+
+``make_masks`` draws a minibatch's masks with one ``rng.random`` call. The
+uniforms are laid out tweet after tweet, and within a tweet as input (one per
+padded position), bank3, bank4, bank5, dense: the order in which drawing one
+tweet's masks at a time takes them, so a seed's masks do not depend on how
+the draw is batched. The input masks, end to end, scale the packed positions;
+the head's masks are one row per tweet.
 
 Each batch runs as one packed pass over its padded tweets stacked end to end.
 The convolution projects each distinct id of the pass once through every bank
@@ -162,10 +169,14 @@ class TrainConfig:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
+def _padded_length(n: int, m_max: int) -> int:
+    """Rows of a tweet of n ids once truncated at m_max and padded to M_MIN."""
+    return max(min(n, m_max), M_MIN)
+
+
 def _pad_ids(ids: Sequence[int], m_max: int) -> np.ndarray:
     ids = list(ids)[:m_max]
-    m = max(len(ids), M_MIN)
-    out = np.full(m, PAD_ID, dtype=np.int64)
+    out = np.full(_padded_length(len(ids), m_max), PAD_ID, dtype=np.int64)
     out[: len(ids)] = ids
     return out
 
@@ -258,16 +269,24 @@ class CnnModel:
 
     # -- dropout masks -----------------------------------------------------
 
-    def make_masks(self, m: int, rng: np.random.Generator) -> dict:
-        """Scaled 0/(1/keep) masks for one example of padded length m."""
-        d = self.cfg.dropout
-        masks = {"input": dropout_mask(m, d.input, rng, self.dtype)}
-        for h, count, rate in zip(
-            FILTER_HEIGHTS, self.cfg.filter_counts, (d.bank3, d.bank4, d.bank5)
-        ):
-            masks[f"bank{h}"] = dropout_mask(count, rate, rng, self.dtype)
-        masks["dense"] = dropout_mask(self.cfg.dense_units, d.dense, rng, self.dtype)
-        return masks
+    def make_masks(self, lengths: Sequence[int], rng: np.random.Generator) -> tuple:
+        """A minibatch's scaled 0/(1/keep) masks, from one draw.
+
+        ``lengths`` holds each tweet's padded length. Returns the input mask,
+        shape (sum of lengths,), and the head's masks ``{0: (B, pooled_width),
+        1: (B, dense_units)}``: the value ``batch_loss_grads`` takes.
+        """
+        cfg = self.cfg
+        b = len(lengths)
+        rates = np.array([rate for _, rate in cfg.dropout.as_tuple_named()])
+        # per tweet, the widths of its sites: input, bank3, bank4, bank5, dense
+        widths = np.column_stack(
+            [lengths, np.tile([*cfg.filter_counts, cfg.dense_units], (b, 1))]
+        ).ravel()
+        site = np.repeat(np.tile(np.arange(len(rates)), b), widths)  # 0 = input word
+        mask = dropout_mask(len(site), rates[site], rng, self.dtype)
+        head = mask[site > 0].reshape(b, cfg.pooled_width + cfg.dense_units)
+        return mask[site == 0], dict(enumerate(np.split(head, [cfg.pooled_width], axis=1)))
 
     # -- forward -----------------------------------------------------------
 
@@ -287,12 +306,10 @@ class CnnModel:
             ]
         )
 
-    def _forward(
-        self, id_lists: Sequence, masks: Optional[Sequence] = None, conv_w=None
-    ) -> tuple:
+    def _forward(self, id_lists: Sequence, masks: Optional[tuple] = None, conv_w=None) -> tuple:
         """P(HOF) per tweet (float64) and the intermediates backward needs.
 
-        ``masks`` holds one ``make_masks`` dict per tweet, or None for inference;
+        ``masks`` is the batch's ``make_masks`` value, or None for inference;
         ``conv_w`` is ``_conv_weights()``, laid out afresh when not given.
         """
         p, cfg = self.params, self.cfg
@@ -301,14 +318,7 @@ class CnnModel:
         ids = np.concatenate(padded)  # no padding to a common length
         # rows from each position to the end of its tweet: a window fits if >= h
         room = np.concatenate([np.arange(len(t), 0, -1) for t in padded])
-        input_mask, head_masks = None, {}
-        if masks is not None:  # input masks end to end; the head's masks one row per tweet
-            input_mask = np.concatenate([mk["input"] for mk in masks])
-            banks = [np.stack([mk[f"bank{h}"] for mk in masks]) for h in FILTER_HEIGHTS]
-            head_masks = {
-                0: np.concatenate(banks, axis=1),
-                1: np.stack([mk["dense"] for mk in masks]),
-            }
+        input_mask, head_masks = (None, {}) if masks is None else masks
         if conv_w is None:
             conv_w = self._conv_weights()
         # each distinct id goes through every bank and offset once; a window
@@ -368,28 +378,19 @@ class CnnModel:
             raise ValueError("the model gives a non-finite probability: its parameters overflow")
         return probs
 
-    def forward(self, ids: Sequence[int]) -> float:
-        """Probability of HOF for one encoded tweet."""
-        return float(self.predict_proba([ids])[0])
-
-    def predict(self, ids: Sequence[int]) -> int:
-        """1 (HOF) iff the inferred probability is >= 0.5, else 0 (NOT)."""
-        return 1 if self.forward(ids) >= 0.5 else 0
-
     def predict_batch(self, examples: Sequence[EncodedExample]) -> list:
+        """1 (HOF) per tweet whose probability is >= 0.5, else 0 (NOT)."""
         return (self.predict_proba([ex.ids for ex in examples]) >= 0.5).astype(int).tolist()
 
     # -- loss and gradients ------------------------------------------------
 
-    def batch_loss(
-        self, batch: Sequence[EncodedExample], masks_list: Optional[Sequence] = None
-    ) -> float:
-        """Mean BCE over a batch, with optional fixed dropout masks per example."""
-        probs, _ = self._forward([ex.ids for ex in batch], masks_list)
+    def batch_loss(self, batch: Sequence[EncodedExample], masks: Optional[tuple] = None) -> float:
+        """Mean BCE over a batch, with optional fixed ``make_masks`` dropout masks."""
+        probs, _ = self._forward([ex.ids for ex in batch], masks)
         return float(np.mean(bce_loss(probs, np.array([ex.label for ex in batch]))))
 
     def batch_loss_grads(
-        self, batch: Sequence[EncodedExample], masks_list: Optional[Sequence] = None
+        self, batch: Sequence[EncodedExample], masks: Optional[tuple] = None
     ) -> tuple:
         """Mean loss and exact gradients of it for every parameter group.
 
@@ -398,7 +399,7 @@ class CnnModel:
         holds the pass's distinct ids, and the pad row stays at zero.
         """
         p, cfg = self.params, self.cfg
-        probs, saved = self._forward([ex.ids for ex in batch], masks_list)
+        probs, saved = self._forward([ex.ids for ex in batch], masks)
         y = np.array([ex.label for ex in batch])
         loss = float(np.mean(bce_loss(probs, y)))
         if not np.isfinite(loss):  # NaN activations match no pooled max: no argmax to route to
@@ -543,11 +544,8 @@ def train_model(
 
     def loss_grads(idx):
         batch = [train_ex[int(i)] for i in idx]
-        masks_list = [
-            model.make_masks(len(_pad_ids(ex.ids, model.cfg.m_max)), dropout_rng)
-            for ex in batch
-        ]
-        return model.batch_loss_grads(batch, masks_list)
+        lengths = [_padded_length(len(ex.ids), model.cfg.m_max) for ex in batch]
+        return model.batch_loss_grads(batch, model.make_masks(lengths, dropout_rng))
 
     best_f1 = -1.0
     best_params = model.copy_params()

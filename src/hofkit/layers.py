@@ -6,6 +6,14 @@ is a list of ``(w, b)`` pairs applied as ``a @ w + b``; ReLU follows every
 layer but the last, whose output is the logits. ``masks`` maps a layer index
 to the dropout mask multiplied into that layer's input, one row per example;
 layers without an entry are not masked, and inference passes ``{}``.
+
+A model draws a minibatch's dropout masks with one ``dropout_mask`` call, so
+one ``rng.random`` call per batch. NumPy's ``Generator.random(a + b)`` returns
+the doubles of ``random(a)`` followed by ``random(b)`` and leaves the generator
+in the same state, so a batch draw laid out example after example, each
+example's sites in a fixed order, gives the bytes of drawing each example's
+masks in turn. That order is part of what a seed reproduces: change it and
+every dropout mask of a seeded run changes.
 """
 
 from __future__ import annotations
@@ -17,11 +25,15 @@ import numpy as np
 __all__ = ["dropout_mask", "dense_forward", "dense_backward", "run_epoch"]
 
 
-def dropout_mask(size, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Inverted-dropout mask: 0 where a unit drops, 1/keep where it survives."""
+def dropout_mask(size, rate, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Inverted-dropout mask: 0 where a unit drops, 1/keep where it survives.
+
+    ``rate`` is one drop rate or an array of them that broadcasts against
+    ``size``, say one rate per column. The mask takes one ``rng.random`` call.
+    """
     dtype = np.dtype(dtype)
-    keep = 1.0 - rate
-    return (rng.random(size) < keep).astype(dtype) / dtype.type(keep)
+    keep = 1.0 - np.asarray(rate, dtype=np.float64)
+    return (rng.random(size) < keep).astype(dtype) / keep.astype(dtype)
 
 
 def dense_forward(x: np.ndarray, layers: list, masks: dict) -> tuple:

@@ -81,7 +81,7 @@ def _cnn_gradcheck(seed):
         for s, y in ((6, 1), (3, 0), (7, 1))
     ]
     mask_rng = derived_rng(seed, "acc-cnn-masks")
-    masks = [model.make_masks(max(min(len(ex.ids), 7), 5), mask_rng) for ex in batch]
+    masks = model.make_masks([max(min(len(ex.ids), 7), 5) for ex in batch], mask_rng)
     _, grads = model.batch_loss_grads(batch, masks)
     worst = 0.0
     for key in cnn.PARAM_ORDER:
@@ -102,7 +102,7 @@ def _dnn_gradcheck(seed):
     xs = rng.normal(size=(3, 12))
     ys = [1, 0, 1]
     mask_rng = derived_rng(seed, "acc-dnn-masks")
-    masks = [model.make_masks(mask_rng) for _ in range(3)]
+    masks = model.make_masks(3, mask_rng)
     _, grads = model.batch_loss_grads(xs, ys, masks)
     worst = 0.0
     for key in sorted(model.params):

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hofkit import corpus
+from hofkit import baselines
 from hofkit.baselines import (
     BowFeaturizer,
     DnnConfig,
     DnnModel,
+    _knn_vote,
+    _unit_rows,
     expand_grid,
     grid_search,
-    knn_predict,
     make_baseline,
     mnb_predict,
     mnb_train,
@@ -20,6 +21,7 @@ from hofkit.baselines import (
     ridge_train,
 )
 from hofkit.corpus import EncodedExample
+from hofkit.layers import dropout_mask
 from hofkit.seeding import derived_rng
 
 from gradcheck import finite_difference, group_relative_error
@@ -246,6 +248,12 @@ class TestRidge:
             ridge_train(np.ones((2, 1)), np.ones(2), lam=0.0)
 
 
+def knn_predict(q, train, labels, k) -> int:
+    """One query's vote through ``_knn_vote``, both sides unit-scaled in copies."""
+    unit_q = _unit_rows(np.array(q, dtype=np.float64, ndmin=2))
+    return _knn_vote(unit_q, _unit_rows(np.array(train, dtype=np.float64)), labels, k)[0]
+
+
 class TestKnn:
     def _train(self):
         x = np.array(
@@ -284,6 +292,17 @@ class TestKnn:
         x, labels = self._train()
         with pytest.raises(ValueError):
             knn_predict(x[0], x, labels, 0)
+
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(ValueError, match="training set is empty"):
+            knn_predict(np.ones(3), np.zeros((0, 3)), [], 1)
+
+    def test_zero_norm_vectors_have_zero_similarity(self):
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        # the zero query ties every row at 0, so training order decides
+        assert knn_predict(np.zeros(2), x, [0, 1, 1], 1) == 0
+        # the zero rows score 0 against any query, below a matching row
+        assert knn_predict(np.array([2.0, 0.0]), x, [0, 1, 0], 1) == 1
 
     @given(st.floats(0.1, 100.0), st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -473,7 +492,37 @@ class TestMatrix:
         assert BowFeaturizer(6, "count").matrix([]).shape == (0, 6)
 
 
+def dnn_masks_oracle(model, rng) -> dict:
+    """One example's masks, one draw per site: the batched draw's oracle."""
+    cfg = model.cfg
+    return {
+        idx: dropout_mask(size, rate, rng, np.float64)
+        for idx, rate, size in (
+            (0, cfg.dropout_input, model.input_dim),
+            (1, cfg.dropout_h1, cfg.hidden[0]),
+            (2, cfg.dropout_h2, cfg.hidden[1]),
+        )
+    }
+
+
 class TestDnn:
+    @pytest.mark.parametrize(
+        "cfg", [DnnConfig(), DnnConfig(dropout_input=0.2, dropout_h1=0.0, dropout_h2=0.7)]
+    )
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    def test_batched_masks_match_per_example_draws(self, cfg, n):
+        model = DnnModel(2112, cfg)
+        rng, oracle_rng = derived_rng(n, "dnn-test-masks"), derived_rng(n, "dnn-test-masks")
+        got = model.make_masks(n, rng)
+        oracle = [dnn_masks_oracle(model, oracle_rng) for _ in range(n)]
+        assert sorted(got) == [0, 1, 2]
+        for site in got:
+            want = np.stack([mk[site] for mk in oracle])
+            assert got[site].dtype == want.dtype == np.float64
+            assert got[site].shape == want.shape
+            assert got[site].tobytes() == want.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
     def test_zero_init_gives_uniform_softmax(self):
         model = DnnModel(6, DnnConfig(seed=0))
         for k in model.params:
@@ -492,14 +541,14 @@ class TestDnn:
                 model.params[k] += rng.normal(0, 0.3, size=model.params[k].shape)
         xs = rng.normal(size=(3, 5))
         ys = [1, 0, 1]
-        masks_list = None
+        masks = None
         if with_dropout:
             mask_rng = derived_rng(seed, "dnn-grad-masks")
-            masks_list = [model.make_masks(mask_rng) for _ in range(3)]
-        _, grads = model.batch_loss_grads(xs, ys, masks_list)
+            masks = model.make_masks(3, mask_rng)
+        _, grads = model.batch_loss_grads(xs, ys, masks)
         for key in sorted(model.params):
             fd = finite_difference(
-                lambda: model.batch_loss(xs, ys, masks_list), model.params[key]
+                lambda: model.batch_loss(xs, ys, masks), model.params[key]
             )
             assert group_relative_error(grads[key], fd) < 1e-3, key
 
@@ -589,3 +638,27 @@ class TestGridSearch:
             model = make_baseline(family, params, 12).fit(examples)
             preds = model.predict_batch(examples)
             assert set(preds) <= {0, 1}
+
+    def test_dnn_takes_the_run_seed_unless_the_grid_names_one(self):
+        examples = self._examples(20)
+
+        def fitted(params, seed):
+            return make_baseline("dnn", params, 12, seed).fit(examples)._fitted.params
+
+        one, two = fitted({"epochs": 2}, 1), fitted({"epochs": 2}, 2)
+        assert any(not np.array_equal(one[k], two[k]) for k in one)
+        pinned = fitted({"epochs": 2, "seed": 2}, 1)
+        assert all(pinned[k].tobytes() == two[k].tobytes() for k in two)
+
+    def test_grid_search_seeds_the_dnn(self, monkeypatch):
+        seeds = []
+
+        class Recording(DnnModel):
+            def __init__(self, input_dim, cfg):
+                seeds.append(cfg.seed)
+                super().__init__(input_dim, cfg)
+
+        monkeypatch.setattr(baselines, "DnnModel", Recording)
+        grid = [{"epochs": 1}, {"epochs": 1, "seed": 9}]
+        grid_search("dnn", grid, self._examples(), 12, folds=2, seed=4)
+        assert seeds == [4, 4, 9, 9]

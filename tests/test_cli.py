@@ -490,7 +490,7 @@ class TestEvalAndPredictCmds:
         model = cnn.load_checkpoint(ckpt, vocab)
         want = []
         for ex in corpus.load_tsv(data):
-            p = model.forward(corpus.encode(ex.tokens, vocab).ids)
+            p = model.predict_proba([corpus.encode(ex.tokens, vocab).ids])[0]
             want.append(f"{ex.tweet_id}\t{'HOF' if p >= 0.5 else 'NOT'}\t{p:.6f}")
         assert out.read_text(encoding="utf-8").splitlines()[1:] == want
 

@@ -19,7 +19,7 @@ from hofkit.cnn import (
     vocab_hash,
 )
 from hofkit.corpus import EncodedExample
-from hofkit.layers import dense_backward, dense_forward
+from hofkit.layers import dense_backward, dense_forward, dropout_mask
 from hofkit.seeding import derived_rng
 
 from gradcheck import finite_difference, group_relative_error
@@ -53,6 +53,27 @@ def max_pool(features) -> tuple:
     return float(arr[k]), k
 
 
+def forward(model, ids) -> float:
+    """Probability of HOF for one encoded tweet: a one-tweet ``predict_proba`` pass."""
+    return float(model.predict_proba([ids])[0])
+
+
+def per_example_masks(model, m, rng) -> dict:
+    """One tweet's masks of padded length m, one draw per site: the batched draw's oracle."""
+    d = model.cfg.dropout
+    masks = {"input": dropout_mask(m, d.input, rng, model.dtype)}
+    for h, count, rate in zip(
+        cnn.FILTER_HEIGHTS, model.cfg.filter_counts, (d.bank3, d.bank4, d.bank5)
+    ):
+        masks[f"bank{h}"] = dropout_mask(count, rate, rng, model.dtype)
+    masks["dense"] = dropout_mask(model.cfg.dense_units, d.dense, rng, model.dtype)
+    return masks
+
+
+def padded_lengths(model, id_lists) -> list:
+    return [len(_pad_ids(ids, model.cfg.m_max)) for ids in id_lists]
+
+
 def dense_emb_grad(ids, dx, vocab_size):
     """The dense embedding gradient: one np.add.at into a zero table, pad row zeroed."""
     grad = np.zeros((vocab_size, dx.shape[1]), dtype=dx.dtype)
@@ -74,11 +95,7 @@ def packed_forward(model, id_lists, masks=None):
     lengths = np.array([len(t) for t in padded])
     ids = np.concatenate(padded)
     room = np.concatenate([np.arange(len(t), 0, -1) for t in padded])
-    input_mask, head_masks = None, {}
-    if masks is not None:
-        input_mask = np.concatenate([mk["input"] for mk in masks])[:, None]
-        banks = [np.stack([mk[f"bank{h}"] for mk in masks]) for h in cnn.FILTER_HEIGHTS]
-        head_masks = {0: np.concatenate(banks, axis=1), 1: np.stack([mk["dense"] for mk in masks])}
+    input_mask, head_masks = (None, {}) if masks is None else (masks[0][:, None], masks[1])
     x = p["emb"][ids]
     if input_mask is not None:
         x = x * input_mask
@@ -256,32 +273,32 @@ class TestForward:
         model, _ = small_model(randomize_biases=False)
         for k in model.params:
             model.params[k][...] = 0.0
-        assert model.forward((1, 2, 3)) == 0.5
-        assert model.forward(()) == 0.5
+        assert forward(model, (1, 2, 3)) == 0.5
+        assert forward(model, ()) == 0.5
 
     def test_infer_deterministic(self):
         model, rng = small_model(seed=1)
         ids = tuple(int(x) for x in rng.integers(1, 9, size=6))
-        assert model.forward(ids) == model.forward(ids)
+        assert forward(model, ids) == forward(model, ids)
 
     def test_train_with_keep_one_equals_infer(self):
         model, rng = small_model(seed=2, dropout=DropoutSpec.none())
         ids = tuple(int(x) for x in rng.integers(1, 9, size=6))
         mask_rng = derived_rng(0, "masks")
-        masks = model.make_masks(len(_pad_ids(ids, model.cfg.m_max)), mask_rng)
-        assert model._forward([ids], [masks])[0][0] == model.forward(ids)
+        masks = model.make_masks(padded_lengths(model, [ids]), mask_rng)
+        assert model._forward([ids], masks)[0][0] == forward(model, ids)
 
     def test_probability_in_unit_interval(self):
         model, rng = small_model(seed=3)
         for _ in range(5):
             ids = tuple(int(x) for x in rng.integers(1, 9, size=4))
-            assert 0.0 < model.forward(ids) < 1.0
+            assert 0.0 < forward(model, ids) < 1.0
 
     def test_predict_threshold(self):
         model, _ = small_model(randomize_biases=False)
         for k in model.params:
             model.params[k][...] = 0.0
-        assert model.predict((1, 2)) == 1  # p = 0.5 ties to HOF
+        assert model.predict_batch([EncodedExample((1, 2))]) == [1]  # p = 0.5 ties to HOF
 
 
 class TestPackedBatch:
@@ -294,19 +311,20 @@ class TestPackedBatch:
         assert max(len(q) for q in queries) > model.cfg.m_max
         probs = model.predict_proba(queries)
         assert probs.shape == (len(queries),)
-        assert np.abs(probs - [model.forward(q) for q in queries]).max() < 1e-12
+        assert np.abs(probs - [forward(model, q) for q in queries]).max() < 1e-12
         assert model.predict_proba([]).shape == (0,)
 
     def test_batch_gradients_equal_mean_of_single_example_gradients(self):
         model, rng = small_model(seed=12, dropout=DropoutSpec())
         batch = random_batch(rng, sizes=(0, 3, 12, 7, 5), labels=(1, 0, 1, 0, 1))
-        mask_rng = derived_rng(12, "cnn-test-masks")
-        masks = [
-            model.make_masks(len(_pad_ids(ex.ids, model.cfg.m_max)), mask_rng)
-            for ex in batch
-        ]
+        lengths = padded_lengths(model, [ex.ids for ex in batch])
+        masks = model.make_masks(lengths, derived_rng(12, "cnn-test-masks"))
         loss, grads = model.batch_loss_grads(batch, masks)
-        singles = [model.batch_loss_grads([ex], [mk]) for ex, mk in zip(batch, masks)]
+        mask_rng = derived_rng(12, "cnn-test-masks")  # the same masks, drawn one tweet at a time
+        singles = [
+            model.batch_loss_grads([ex], model.make_masks([m], mask_rng))
+            for ex, m in zip(batch, lengths)
+        ]
         assert abs(loss - np.mean([single_loss for single_loss, _ in singles])) < 1e-12
         for key in cnn.PARAM_ORDER:
             mean = sum(np.asarray(g[key]) for _, g in singles) / len(batch)
@@ -340,9 +358,7 @@ class TestBackward:
         masks = None
         if with_dropout:
             mask_rng = derived_rng(seed, "cnn-test-masks")
-            masks = [
-                model.make_masks(max(min(len(ex.ids), 7), 5), mask_rng) for ex in batch
-            ]
+            masks = model.make_masks([max(min(len(ex.ids), 7), 5) for ex in batch], mask_rng)
         _, grads = model.batch_loss_grads(batch, masks)
         for key in cnn.PARAM_ORDER:
             skip = (corpus.PAD_ID,) if key == "emb" else ()
@@ -406,10 +422,7 @@ class TestProjectionMatchesPackedOracle:
             id_lists = [ex.ids for ex in batch]
             masks = None
             if input_rate is not None:
-                masks = [
-                    model.make_masks(len(_pad_ids(ids, model.cfg.m_max)), mask_rng)
-                    for ids in id_lists
-                ]
+                masks = model.make_masks(padded_lengths(model, id_lists), mask_rng)
             want_loss, want, oracle = packed_loss_grads(model, batch, masks)
             probs, saved = model._forward(id_lists, masks)
             assert np.abs(probs - packed_forward(model, id_lists, masks)[0]).max() < tol
@@ -428,6 +441,48 @@ class TestProjectionMatchesPackedOracle:
             assert not np.asarray(grads["emb"])[corpus.PAD_ID].any()
             if input_rate == 0.0:
                 assert (oracle["dx"][ids == corpus.PAD_ID] != 0).any()
+
+
+# ragged padded lengths: a tweet truncated at m_max = 7, tweets shorter than
+# M_MIN, an all-pad tweet and one of exactly M_MIN ids
+MASK_ID_LISTS = [(3, 1, 4, 1, 5, 8), tuple(range(1, 9)) * 2, (2, 7), (), (5,) * 7, (1, 2, 3, 4, 5)]
+
+
+class TestBatchedMasksMatchPerExampleDraws:
+    """One draw per batch gives the bytes and generator state of one draw per site and tweet."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "dropout", [DropoutSpec(), DropoutSpec.none(), DropoutSpec(0.3, 0.1, 0.0, 0.7, 0.25)]
+    )
+    def test_small_model(self, dtype, dropout):
+        model, _ = small_model(dropout=dropout, dtype=dtype)
+        lengths = padded_lengths(model, MASK_ID_LISTS)
+        assert lengths == [6, 7, 5, 5, 7, 5]
+        self._check(model, lengths, seed=5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_paper_shape(self, dtype):
+        model = CnnModel.init(np.zeros((3, 200)), CnnConfig(), dtype=dtype)
+        self._check(model, [64, 5, 33, 64, 5, 12], seed=6)
+
+    @staticmethod
+    def _check(model, lengths, seed):
+        rng, oracle_rng = derived_rng(seed, "cnn-test-masks"), derived_rng(seed, "cnn-test-masks")
+        input_mask, head = model.make_masks(lengths, rng)
+        oracle = [per_example_masks(model, m, oracle_rng) for m in lengths]
+        want = {
+            "input": np.concatenate([mk["input"] for mk in oracle]),
+            0: np.stack([np.concatenate([mk[f"bank{h}"] for h in cnn.FILTER_HEIGHTS])
+                         for mk in oracle]),
+            1: np.stack([mk["dense"] for mk in oracle]),
+        }
+        assert sorted(head) == [0, 1]
+        for got, key in ((input_mask, "input"), (head[0], 0), (head[1], 1)):
+            assert got.dtype == want[key].dtype == model.dtype, key
+            assert got.shape == want[key].shape, key
+            assert got.tobytes() == want[key].tobytes(), key
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestDropout:
@@ -456,7 +511,7 @@ class TestDropout:
             mask_rng = derived_rng(42, f"dropexp-{site}")
             acc = 0.0
             for _ in range(n_trials // per_pass):
-                masks = [model.make_masks(m, mask_rng) for _ in range(per_pass)]
+                masks = model.make_masks([m] * per_pass, mask_rng)
                 acc = acc + extract(model._forward([ids] * per_pass, masks)).sum(axis=0)
             mean = acc / n_trials
             want = extract(infer)[0]
@@ -474,14 +529,14 @@ class TestPoolingInvariance:
     def test_permuting_pad_rows_leaves_output_unchanged(self):
         model, rng = small_model(seed=6)
         ids = (2, 3)  # padded to length 5 with three pad rows
-        p1 = model.forward(ids)
+        p1 = forward(model, ids)
         # pad rows are identical zero vectors; any permutation of positions
         # 2..4 yields the same tweet matrix, hence bitwise the same output
         t = embed_and_pad(ids, model.params["emb"], model.cfg.m_max)
         t_perm = t.copy()
         t_perm[[2, 3, 4]] = t_perm[[4, 2, 3]]
         assert np.array_equal(t, t_perm)
-        assert model.forward(ids) == p1
+        assert forward(model, ids) == p1
 
 
 class TestTraining:
@@ -665,9 +720,9 @@ class TestConcurrency:
             tuple(int(x) for x in rng.integers(1, 9, size=int(rng.integers(1, 8))))
             for _ in range(40)
         ]
-        serial = [model.forward(q) for q in queries]
+        serial = [forward(model, q) for q in queries]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(model.forward, queries))
+            threaded = list(pool.map(lambda q: forward(model, q), queries))
         assert threaded == serial
 
 

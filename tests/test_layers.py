@@ -100,9 +100,8 @@ class TestDenseBackward:
         rng = derived_rng(3, "dnn-grads")
         xs = rng.poisson(1.0, size=(9, 12)).astype(np.float64)
         ys = rng.integers(0, 2, size=9)
-        masks_list = [model.make_masks(rng) for _ in ys]
-        _, grads = model.batch_loss_grads(xs, ys, masks_list)
-        masks = {site: np.stack([m[site] for m in masks_list]) for site in masks_list[0]}
+        masks = model.make_masks(len(ys), rng)
+        _, grads = model.batch_loss_grads(xs, ys, masks)
         acts, zs, probs = model._forward(xs, masks)
         delta = probs.copy()
         delta[np.arange(len(ys)), ys] -= 1.0

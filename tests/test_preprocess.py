@@ -82,6 +82,41 @@ class TestHtmlUnescape:
         assert pp.html_unescape("&#xD7FF;&#xE000;") == "\ud7ff\ue000"
 
 
+_code_points = st.one_of(
+    st.integers(0, 0x10FFFF),
+    st.integers(0xD7F0, 0xE00F),  # the UTF-16 surrogates and their neighbours
+    st.integers(0x10FFF0, 2**80),  # the last code points and far past them
+)
+_references = st.one_of(
+    _code_points.map(lambda c: f"&#{c};"),
+    _code_points.map(lambda c: f"&#x{c:x};"),
+    _code_points.map(lambda c: f"&#X{c:X};"),
+    st.integers(0, 6000).map(lambda n: f"&#{'0' * n}38;"),  # leading zeros past int()'s limit
+    st.integers(4000, 6000).map(lambda n: f"&#{'9' * n};"),
+    st.integers(4000, 6000).map(lambda n: f"&#x{'f' * n};"),
+    st.sampled_from(["&amp;", "&lt;", "&gt;", "&quot;", "&apos;", "&nbsp;", "&AMP;", "&bogus;",
+                     "&#;", "&#x;", "&#-1;", "&"]),
+)
+# "&amp;" + r[1:] escapes a reference once more: &#64; -> &amp;#64; -> &amp;amp;#64;
+_escaped_references = st.recursive(
+    _references, lambda inner: inner.map(lambda r: "&amp;" + r[1:]), max_leaves=3
+)
+_unescape_inputs = st.lists(
+    st.one_of(st.text(max_size=4), _escaped_references, st.sampled_from(list("&#x;a9"))),
+    max_size=12,
+).map("".join)
+
+
+@given(_unescape_inputs)
+@settings(max_examples=300, deadline=None)
+def test_html_unescape_fuzz(text):
+    out = pp.html_unescape(text)
+    assert pp.html_unescape(out) == out
+    out.encode("utf-8")  # no lone surrogate
+    assert len(out) <= len(text)
+    pp.preprocess(text)
+
+
 _devanagari = [chr(c) for c in range(0x0900, 0x0980)]
 _few_devanagari = st.sampled_from(["क", "ा", "ि", "त"])  # few letters: suffixes often match
 
