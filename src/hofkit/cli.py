@@ -9,6 +9,7 @@ purpose-tagged derived streams, so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -329,7 +330,13 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every ``main`` call.
+
+    Parsing leaves the parser unchanged, so reusing it saves rebuilding some
+    500 argparse objects (and their reference cycles) per command.
+    """
     parser = argparse.ArgumentParser(
         prog="hofkit",
         description="Hate/offensive tweet classification toolkit",

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .fileio import atomic_open
-from .preprocess import preprocess
+from .preprocess import _stemmer, preprocess
 from .seeding import derived_rng
 
 __all__ = [
@@ -94,6 +94,7 @@ def load_tsv(path, suffixes=None) -> Dataset:
             ) from None
         label_col = header.index("task_1") if "task_1" in header else None
 
+        stem = _stemmer(suffixes)  # one memo per file: each distinct token is stemmed once
         examples: list[Example] = []
         seen_ids: set[str] = set()
         for lineno, row in enumerate(reader, start=2):
@@ -114,7 +115,7 @@ def load_tsv(path, suffixes=None) -> Dataset:
                     raise CorpusError(f"unknown label {raw!r}, line {lineno}")
                 label = LABEL_TO_ID[raw]
             examples.append(
-                Example(tweet_id, tuple(preprocess(row[text_col], suffixes)), label)
+                Example(tweet_id, tuple(preprocess(row[text_col], stem=stem)), label)
             )
     return Dataset(examples)
 

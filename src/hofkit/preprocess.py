@@ -10,8 +10,9 @@ The string rules (everything before tokenization) repeat until the text stops
 changing; tokenization and stemming then run once, and the rules are written
 so that preprocessing the joined output is a no-op.
 
-Every step is a pure function on strings, so the whole pipeline is safe to
-call concurrently and produces byte-identical output for identical input.
+Every step is a pure function on strings (a stemmer's memo only caches its
+own results), so the whole pipeline is safe to call concurrently and produces
+byte-identical output for identical input.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ _URL_RE = re.compile(r"https?://\S+|(?<![^\W_])t\.co/\S+")
 # Mention grammar: @ followed by at least one word character.
 _MENTION_RE = re.compile(r"@\w+")
 
-_WS_RE = re.compile(r"\s+")
 _REPEAT_RE = re.compile(r"(.)\1{2,}", re.DOTALL)
 
 # Markup-ish junk becomes a space (it separated words in the source markup);
@@ -93,6 +93,8 @@ def html_unescape(text: str) -> str:
                 return m.group(0)
         return _NAMED_ENTITIES.get(body, m.group(0))
 
+    if "&" not in text:  # every reference starts with "&"
+        return text
     while True:
         decoded = _ENTITY_RE.sub(_decode, text)
         if decoded == text:
@@ -102,10 +104,16 @@ def html_unescape(text: str) -> str:
 
 def deidentify(text: str) -> str:
     """Replace retweet markers, mentions, and URLs with placeholder tokens."""
-    text = _RT_RE.sub("xxrtu ", text)
-    text = _MT_RE.sub("xxrtm ", text)
-    text = _URL_RE.sub("xxurl", text)
-    text = _MENTION_RE.sub("xxatp", text)
+    # Each pattern runs only if the text holds a literal that every match of
+    # it contains, which is much cheaper than a failed regex scan.
+    if "RT" in text:
+        text = _RT_RE.sub("xxrtu ", text)
+    if "MT" in text:
+        text = _MT_RE.sub("xxrtm ", text)
+    if "://" in text or "t.co/" in text:
+        text = _URL_RE.sub("xxurl", text)
+    if "@" in text:
+        text = _MENTION_RE.sub("xxatp", text)
     return text
 
 
@@ -115,7 +123,7 @@ def remove_invalid(text: str) -> str:
         text = text.replace(junk, " ")
     for junk in _BLOCKLIST_TO_EMPTY:
         text = text.replace(junk, "")
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 def fix_repeats(text: str) -> str:
@@ -174,12 +182,18 @@ def stem_hindi(word: str, suffixes: tuple[str, ...] | None = None) -> str:
 
 
 def _stemmer(suffixes: tuple[str, ...] | None):
-    """``stem_hindi`` for one table, with the table's suffix index looked up once."""
+    """``stem_hindi`` for one table, with the table's suffix index looked up once.
+
+    The stemmer remembers the stem of every word it has seen, so one stemmer
+    serves a whole file (``corpus.load_tsv`` builds one per call) and its memo
+    is dropped with it; nothing is remembered across files or tables.
+    """
     if suffixes is None:
         suffixes = default_suffix_table()
     position, lengths = _suffix_index(suffixes)
+    memo: dict[str, str] = {}
 
-    def stem(word: str) -> str:
+    def strip(word: str) -> str:
         if not _is_devanagari(word):
             return word
         while True:
@@ -193,6 +207,12 @@ def _stemmer(suffixes: tuple[str, ...] | None):
             if best is None:
                 return word
             word = word[: -len(suffixes[best])]
+
+    def stem(word: str) -> str:
+        stemmed = memo.get(word)
+        if stemmed is None:
+            stemmed = memo[word] = strip(word)
+        return stemmed
 
     return stem
 
@@ -221,16 +241,26 @@ def tokenize(text: str) -> list[str]:
     """Whitespace-split, detach edge punctuation, lowercase (Devanagari has no case)."""
     tokens: list[str] = []
     for chunk in text.split():
-        tokens.extend(_split_punct(chunk.lower()))
+        chunk = chunk.lower()
+        # No alphanumeric code point is punctuation (category P*), so a chunk
+        # with alphanumeric ends has nothing to detach.
+        if chunk[0].isalnum() and chunk[-1].isalnum():
+            tokens.append(chunk)
+        else:
+            tokens.extend(_split_punct(chunk))
     return tokens
 
 
-def preprocess(text: str, suffixes: tuple[str, ...] | None = None) -> list[str]:
+def preprocess(text: str, suffixes: tuple[str, ...] | None = None, *, stem=None) -> list[str]:
     """Full normalization pipeline; returns the token stream for one tweet.
 
     The string rules (entities, placeholders, junk, repeats, lowercasing) are
     applied in a fixed order until the text stops changing; tokenization and
     stemming then run once. Preprocessing the joined output is a no-op.
+
+    ``stem`` is a stemmer built by ``_stemmer`` and shared by the tweets of one
+    file, so that each distinct token is stemmed once; it replaces
+    ``suffixes``. Without it each call builds its own.
     """
     # The loop ends: after the first round the text is lowercase, and any
     # later round that changes it removes an "&" (an entity decoded), or keeps
@@ -240,5 +270,6 @@ def preprocess(text: str, suffixes: tuple[str, ...] | None = None) -> list[str]:
         if cleaned == text:
             break
         text = cleaned
-    stem = _stemmer(suffixes)
+    if stem is None:
+        stem = _stemmer(suffixes)
     return [stem(tok) for tok in tokenize(text)]

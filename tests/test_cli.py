@@ -73,6 +73,31 @@ def run_pipeline(tmp_path, seed=11, epochs=2):
     return data, vectors, config, ckpt, history
 
 
+def test_one_parser_serves_every_command(tmp_path, capsys):
+    # main reuses one parser; a fresh one must parse and reject argv the same way
+    fresh = cli.build_parser.__wrapped__
+    assert cli.build_parser() is cli.build_parser()
+    data = make_labelled_tsv(tmp_path / "train.tsv")
+    tokens = tmp_path / "corpus.txt"
+    commands = [
+        ["preprocess", str(data), str(tokens)],
+        ["embed-train", str(tokens), "--out", str(tmp_path / "vectors.txt"), "--dim", "4",
+         "--min-count", "1", "--epochs", "1", "--seed", "3"],
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 0
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fresh().parse_args(argv))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as fresh_exit:
+        fresh().parse_args(["preprocess", str(data)])
+    fresh_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as main_exit:
+        cli.main(["preprocess", str(data)])
+    assert main_exit.value.code == fresh_exit.value.code == 2
+    assert capsys.readouterr().err == fresh_err
+    assert "error: the following arguments are required: output" in fresh_err
+
+
 class TestPreprocessCmd:
     def test_writes_one_line_per_row(self, tmp_path, capsys):
         data = tmp_path / "in.tsv"

@@ -1,9 +1,13 @@
 import re
+import tempfile
+import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hofkit import corpus
 from hofkit import preprocess as pp
 from golden_cases import GOLDEN_CASES
 
@@ -323,3 +327,164 @@ _wide_texts = st.lists(
 def test_pipeline_idempotent_wide_alphabet(text):
     out = pp.preprocess(text)
     assert pp.preprocess(" ".join(out)) == out
+
+
+# -- fast paths against the unguarded pipeline -----------------------------------
+# preprocess_oracle is the pipeline without its fast paths: every rule runs
+# unguarded, whitespace collapses through re's \s+, every token is stemmed by
+# a table scan with no memo, and every chunk goes through the punctuation
+# scan. The fast paths must give the same tokens byte for byte.
+
+
+def _oracle_decode(m: re.Match) -> str:
+    body = m.group(1)
+    if body.startswith("#"):
+        try:
+            code = int(body[2:], 16) if body[1] in "xX" else int(body[1:])
+            if 0xD800 <= code <= 0xDFFF:
+                return m.group(0)
+            return chr(code)
+        except (ValueError, OverflowError):
+            return m.group(0)
+    return pp._NAMED_ENTITIES.get(body, m.group(0))
+
+
+def _oracle_round(text: str) -> str:
+    """One unguarded round of the string rules."""
+    while True:
+        decoded = pp._ENTITY_RE.sub(_oracle_decode, text)
+        if decoded == text:
+            break
+        text = decoded
+    text = pp._RT_RE.sub("xxrtu ", text)
+    text = pp._MT_RE.sub("xxrtm ", text)
+    text = pp._URL_RE.sub("xxurl", text)
+    text = pp._MENTION_RE.sub("xxatp", text)
+    for junk in pp._BLOCKLIST_TO_SPACE:
+        text = text.replace(junk, " ")
+    for junk in pp._BLOCKLIST_TO_EMPTY:
+        text = text.replace(junk, "")
+    text = re.sub(r"\s+", " ", text).strip()
+    return pp._REPEAT_RE.sub(r"\1\1", text).lower()
+
+
+def _oracle_split_punct(token: str) -> list[str]:
+    n = len(token)
+    start = 0
+    while start < n and unicodedata.category(token[start]).startswith("P"):
+        start += 1
+    if start == n:
+        return [token]
+    end = n
+    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+        end -= 1
+    return [p for p in (token[:start], token[start:end], token[end:]) if p]
+
+
+def preprocess_oracle(text: str) -> list[str]:
+    while True:
+        cleaned = _oracle_round(text)
+        if cleaned == text:
+            break
+        text = cleaned
+    tokens = [part for chunk in text.split() for part in _oracle_split_punct(chunk.lower())]
+    return [_scan_stem(tok, pp.default_suffix_table()) for tok in tokens]
+
+
+_SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]  # \x1c-\x1f, \x85, U+3000, ...
+# characters that make a chunk's first or last character non-alphanumeric
+# (Devanagari signs, punctuation) or change under lower() ("İ", "Σ")
+_EDGES = list("ािंःँ़्ॅ।॥॰!?,.'\"-_…“”()#&%") + ["²", "½", "٣", "ǅ", "İ", "Σ", "ß", "x"]
+_edge_tokens = st.builds(
+    lambda head, core, tail: head + core + tail,
+    st.text(alphabet=st.sampled_from(_EDGES), max_size=2),
+    st.text(alphabet=st.sampled_from(list("abxTकखतनी1") + _EDGES), max_size=4),
+    st.text(alphabet=st.sampled_from(_EDGES), max_size=2),
+)
+# retweet markers whose gap before the handle is any whitespace
+_markers = st.builds(
+    "{} {}{}@a".format,
+    st.sampled_from(["", "x"]),
+    st.sampled_from(["RT", "MT"]),
+    st.text(alphabet=st.sampled_from(_SPACES), min_size=1, max_size=2),
+)
+_spaced_texts = st.lists(
+    st.one_of(
+        _edge_tokens, st.sampled_from(_SPACES), _alphabet, _templates, _markers,
+        st.sampled_from(["RT", "MT", "@ab", "http://x", "t.co/y", "&amp;", "&#32;", "<br>"]),
+    ),
+    max_size=30,
+).map("".join)
+_any_text = st.one_of(tweet_like(), _wide_texts, _spaced_texts)
+
+
+@pytest.mark.parametrize("text,expected", GOLDEN_CASES)
+def test_golden_cases_match_oracle(text, expected):
+    assert preprocess_oracle(text) == expected
+    assert pp.preprocess(text) == preprocess_oracle(text)
+
+
+@given(_any_text)
+@settings(max_examples=500, deadline=None)
+def test_fast_paths_match_oracle(text):
+    rules = pp.fix_repeats(pp.remove_invalid(pp.deidentify(pp.html_unescape(text)))).lower()
+    assert rules == _oracle_round(text)
+    assert pp.preprocess(text) == preprocess_oracle(text)
+
+
+@given(st.lists(_any_text, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_load_tsv_matches_oracle(texts):
+    # one stemmer memo serves the whole file; tabs and line breaks would split rows
+    texts = [re.sub(r"[\t\r\n]", " ", t) for t in texts]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.tsv"
+        rows = [f"t{i}\t{t}" for i, t in enumerate(texts)]
+        path.write_text("\n".join(["text_id\ttext"] + rows) + "\n", encoding="utf-8")
+        loaded = [list(ex.tokens) for ex in corpus.load_tsv(path)]
+    assert loaded == [preprocess_oracle(t) for t in texts]
+
+
+def test_str_split_whitespace_is_re_whitespace():
+    # remove_invalid collapses whitespace with str.split() in place of re's \s+
+    every = "".join(map(chr, range(0x110000)))
+    re_space = [m.start() for m in re.finditer(r"\s", every)]
+    assert re_space == [i for i, ch in enumerate(every) if ch.isspace()]
+    assert re_space == [i for i, ch in enumerate(every) if ("a" + ch + "b").split() == ["a", "b"]]
+
+
+def test_no_alphanumeric_code_point_is_punctuation():
+    # tokenize keeps a chunk with alphanumeric ends whole without a punctuation scan
+    both = [hex(c) for c in range(0x110000)
+            if chr(c).isalnum() and unicodedata.category(chr(c)).startswith("P")]
+    assert both == []
+
+
+class TestStemmerMemoScope:
+    """A stemmer's memo must not outlive it: each table gives its own stems."""
+
+    WORDS = ("खाता", "पीता", "खाताता")
+
+    @pytest.fixture
+    def custom(self, tmp_path):
+        table = tmp_path / "suffixes.txt"
+        table.write_text("ता\n", encoding="utf-8")
+        return pp.load_suffix_table(table)
+
+    def test_load_tsv_per_call(self, tmp_path, custom):
+        data = tmp_path / "d.tsv"
+        data.write_text("text_id\ttext\nt1\t" + " ".join(self.WORDS) + "\n", encoding="utf-8")
+        by_table = {}
+        for name, suffixes in [("default", None), ("custom", custom)] * 2:
+            tokens = corpus.load_tsv(data, suffixes)[0].tokens
+            expected = tuple(_scan_stem(w, suffixes or pp.default_suffix_table()) for w in self.WORDS)
+            assert tokens == expected
+            by_table[name] = tokens
+        assert by_table["default"] != by_table["custom"]
+
+    def test_stem_hindi_alternating_tables(self, custom):
+        for _ in range(3):
+            for word in self.WORDS:
+                assert pp.stem_hindi(word) == _scan_stem(word, pp.default_suffix_table())
+                assert pp.stem_hindi(word, custom) == _scan_stem(word, custom)
+        assert pp.stem_hindi("खाता") != pp.stem_hindi("खाता", custom)
