@@ -9,6 +9,8 @@ matching the CNN's decision rule.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -343,6 +345,42 @@ DEFAULT_GRIDS = {
 }
 
 
+_POSITIVE, _COUNT, _SEED = "a finite number > 0", "a whole number >= 1", "a whole number >= 0"
+
+# the parameters each family reads, and what each value must be
+_GRID_PARAMS = {
+    "mnb": {"alpha": _POSITIVE},
+    "ridge": {"lambda": _POSITIVE},
+    "knn": {"k": _COUNT},
+    "dnn": {"lr": _POSITIVE, "epochs": _COUNT, "batch_size": _COUNT, "seed": _SEED},
+}
+
+
+def _check_point(family: str, params: dict) -> None:
+    """ValueError naming the first parameter ``family`` does not read or whose value it rejects."""
+    rules = _GRID_PARAMS[family]
+    for key, value in params.items():
+        if key not in rules:
+            raise ValueError(
+                f"grid point {params}: {family} has no parameter {key!r} "
+                f"(it takes {', '.join(rules)})"
+            )
+        rule = rules[key]
+        if rule == _POSITIVE:
+            ok = isinstance(value, numbers.Real) and _finite_positive(value)
+        else:
+            ok = isinstance(value, numbers.Integral) and value >= (1 if rule == _COUNT else 0)
+        if isinstance(value, bool) or not ok:
+            raise ValueError(f"grid point {params}: {key} must be {rule}, got {value!r}")
+
+
+def _finite_positive(value: numbers.Real) -> bool:
+    try:
+        return 0.0 < float(value) < math.inf
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def make_baseline(family: str, params: dict, vocab_size: int, seed: int = 0) -> _BaselineWrapper:
     if family not in BASELINE_FAMILIES:
         raise ValueError(f"unknown baseline family {family!r}")
@@ -386,9 +424,13 @@ def grid_search(
     ``seed`` splits the folds and seeds the DNN. Ties keep the first grid
     point in declaration order.
     """
+    if family not in BASELINE_FAMILIES:
+        raise ValueError(f"unknown baseline family {family!r}")
     points = expand_grid(grid)
     if not points:
         raise ValueError("empty parameter grid")
+    for params in points:
+        _check_point(family, params)
     partitions = kfold(len(examples), folds, seed)
     rows = []
     best_index = 0

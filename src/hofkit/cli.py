@@ -75,11 +75,23 @@ def _is_scalar(value) -> bool:
     return value is not None and not isinstance(value, (list, dict))
 
 
+def _number(value, name: str, kind=int):
+    """``kind(value)``, or a ValueError naming ``name`` if ``kind`` rejects the value.
+
+    ``int`` rejects inf and NaN, ``float`` an int past the float range, and
+    both reject text that is no number.
+    """
+    try:
+        return kind(value)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{name} must be a finite number, got {json.dumps(value)}") from None
+
+
 def _require_seed(args, config) -> int:
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is None:
         raise ValueError("a seed is required (--seed or config key 'seed')")
-    return int(seed)
+    return _number(seed, "seed")
 
 
 def _pick(args_value, config: dict, key: str, default):
@@ -87,6 +99,12 @@ def _pick(args_value, config: dict, key: str, default):
     if args_value is not None:
         return args_value
     return config.get(key, default)
+
+
+def _setting(config: dict, section: str, key: str, default, kind=int, flag=None):
+    """``_pick`` of a numeric setting of a config section, converted by ``_number``."""
+    value = _pick(flag, config.get(section, {}), key, default)
+    return _number(value, f"{section}.{key}", kind)
 
 
 def _suffix_table(args, config):
@@ -109,12 +127,12 @@ def cmd_embed_train(args) -> int:
     seed = _require_seed(args, config)
     overlay = config.get("embedding", {})
     cfg = embedding.EmbeddingConfig(
-        dim=int(_pick(args.dim, overlay, "dim", 200)),
-        window=int(_pick(args.window, overlay, "window", 5)),
-        min_count=int(_pick(args.min_count, overlay, "min_count", 2)),
-        epochs=int(_pick(args.epochs, overlay, "epochs", 10)),
-        negatives=int(_pick(args.negatives, overlay, "negatives", 5)),
-        initial_lr=float(_pick(args.lr, overlay, "initial_lr", 0.025)),
+        dim=_setting(config, "embedding", "dim", 200, flag=args.dim),
+        window=_setting(config, "embedding", "window", 5, flag=args.window),
+        min_count=_setting(config, "embedding", "min_count", 2, flag=args.min_count),
+        epochs=_setting(config, "embedding", "epochs", 10, flag=args.epochs),
+        negatives=_setting(config, "embedding", "negatives", 5, flag=args.negatives),
+        initial_lr=_setting(config, "embedding", "initial_lr", 0.025, float, args.lr),
         objective=str(_pick(args.objective, overlay, "objective", "cbow")),
     )
     streams = corpus.load_token_lines(args.corpus)
@@ -130,38 +148,34 @@ def cmd_embed_train(args) -> int:
 
 def _model_config_from(config: dict, embed_dim: int) -> cnn.CnnConfig:
     model_cfg = config.get("model", {})
-    if "embed_dim" in model_cfg and int(model_cfg["embed_dim"]) != embed_dim:
+    if "embed_dim" in model_cfg and _setting(config, "model", "embed_dim", None) != embed_dim:
         raise ValueError(
             f"config embed_dim {model_cfg['embed_dim']} does not match the "
             f"embeddings file dim {embed_dim}"
         )
-    dropout_cfg = config.get("dropout", {})
-    dropout = cnn.DropoutSpec(
-        input=float(dropout_cfg.get("input", 0.5)),
-        bank3=float(dropout_cfg.get("bank3", 0.5)),
-        bank4=float(dropout_cfg.get("bank4", 0.2)),
-        bank5=float(dropout_cfg.get("bank5", 0.2)),
-        dense=float(dropout_cfg.get("dense", 0.5)),
-    )
+    dropout = cnn.DropoutSpec(**{
+        site: _setting(config, "dropout", site, rate, float)
+        for site, rate in cnn.DropoutSpec().as_tuple_named()
+    })
+    counts = model_cfg.get("filter_counts", (256, 256, 512))
     return cnn.CnnConfig(
         embed_dim=embed_dim,
-        filter_counts=tuple(int(c) for c in model_cfg.get("filter_counts", (256, 256, 512))),
-        dense_units=int(model_cfg.get("dense_units", 256)),
-        m_max=int(model_cfg.get("m_max", 64)),
+        filter_counts=tuple(_number(c, "model.filter_counts") for c in counts),
+        dense_units=_setting(config, "model", "dense_units", 256),
+        m_max=_setting(config, "model", "m_max", 64),
         dropout=dropout,
     )
 
 
 def _train_config_from(args, config: dict, seed: int) -> cnn.TrainConfig:
-    overlay = config.get("train", {})
     return cnn.TrainConfig(
-        epochs=int(_pick(args.epochs, overlay, "epochs", 20)),
-        batch_size=int(_pick(args.batch_size, overlay, "batch_size", 32)),
-        lr=float(_pick(args.lr, overlay, "lr", 1e-3)),
-        beta1=float(overlay.get("beta1", 0.9)),
-        beta2=float(overlay.get("beta2", 0.999)),
-        eps=float(overlay.get("eps", 1e-8)),
-        patience=int(_pick(args.patience, overlay, "patience", 5)),
+        epochs=_setting(config, "train", "epochs", 20, flag=args.epochs),
+        batch_size=_setting(config, "train", "batch_size", 32, flag=args.batch_size),
+        lr=_setting(config, "train", "lr", 1e-3, float, args.lr),
+        beta1=_setting(config, "train", "beta1", 0.9, float),
+        beta2=_setting(config, "train", "beta2", 0.999, float),
+        eps=_setting(config, "train", "eps", 1e-8, float),
+        patience=_setting(config, "train", "patience", 5, flag=args.patience),
         seed=seed,
     )
 
@@ -190,7 +204,7 @@ def cmd_train(args) -> int:
     model_cfg = _model_config_from(config, matrix.dim)
     train_cfg = _train_config_from(args, config, seed)
 
-    val_fraction = float(config.get("val_fraction", 0.2))
+    val_fraction = _number(config.get("val_fraction", 0.2), "val_fraction", float)
     stratify = bool(config.get("stratify", False))
     train_ds, val_ds = corpus.split_train_val(ds, val_fraction, seed, stratify)
     train_ex = corpus.encode_dataset(train_ds, vocab)
@@ -257,7 +271,7 @@ def cmd_cv(args) -> int:
     emb_path = _pick(args.embeddings, config, "embeddings", None)
     if not data_path or not emb_path:
         raise ValueError("cv needs --data and --embeddings")
-    k = int(_pick(args.folds, config, "folds", 10))
+    k = _number(_pick(args.folds, config, "folds", 10), "folds")
 
     ds = corpus.load_tsv(data_path, _suffix_table(args, config))
     if any(ex.label is None for ex in ds):
@@ -267,7 +281,7 @@ def cmd_cv(args) -> int:
     train_cfg = _train_config_from(args, config, seed)
     encoded = corpus.encode_dataset(ds, vocab)
 
-    val_fraction = float(config.get("val_fraction", 0.2))
+    val_fraction = _number(config.get("val_fraction", 0.2), "val_fraction", float)
     scores = []
     lines = ["fold\tmacro_f1"]
     partitions = corpus.kfold(len(ds), k, seed)
@@ -301,7 +315,7 @@ def cmd_baseline(args) -> int:
     ds = corpus.load_tsv(data_path, _suffix_table(args, config))
     if any(ex.label is None for ex in ds):
         raise ValueError("baseline data must be fully labelled")
-    vocab = corpus.build_vocab(ds.token_streams(), int(args.min_count))
+    vocab = corpus.build_vocab(ds.token_streams(), _number(args.min_count, "--min-count"))
     encoded = corpus.encode_dataset(ds, vocab)
 
     grid = baselines.DEFAULT_GRIDS[args.model]

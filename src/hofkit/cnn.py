@@ -24,16 +24,24 @@ tweet's masks at a time takes them, so a seed's masks do not depend on how
 the draw is batched. The input masks, end to end, scale the packed positions;
 the head's masks are one row per tweet.
 
-Each batch runs as one packed pass over its padded tweets stacked end to end.
-The convolution projects each distinct id of the pass once through every bank
-and offset (one product against the banks' weights laid out side by side),
-and a window then sums the projections of its words: a bank-h window at t is
-``b + sum_j mask[t+j] * (emb[ids[t+j]] @ W_j.T)``, Kim's convolution with its
-sums taken in another order. Backward scatters each (tweet, filter) argmax's
-gradient onto those projections and forms the conv and embedding gradients
-from them with two products. Gradients are reduced over the batch in a fixed
-order, so a fixed seed reproduces runs bitwise. Inference never mutates the
-model and is safe to run concurrently; training is single-writer.
+Each training batch runs as one packed pass over its padded tweets stacked end
+to end. The convolution projects each distinct id of the pass once through
+every bank and offset (one product against the banks' weights laid out side by
+side), and a window then sums the projections of its words: a bank-h window at
+t is ``b + sum_j mask[t+j] * (emb[ids[t+j]] @ W_j.T)``, Kim's convolution with
+its sums taken in another order. Backward scatters each (tweet, filter)
+argmax's gradient onto those projections and forms the conv and embedding
+gradients from them with two products. Gradients are reduced over the batch in
+a fixed order, so a fixed seed reproduces runs bitwise.
+
+Inference packs up to ``INFER_BLOCK`` tweets at a time and projects each
+distinct id of the block once, bank by bank, in slices of at most
+``INFER_SLICE`` filters (all offsets of those filters), so the largest
+temporary is (distinct ids) x 5 x ``INFER_SLICE``. The window sums and the
+max-pool then run ``INFER_BATCH`` tweets at a time from that projection, and
+the dense head runs once per block. Training and inference share the two
+convolution helpers, ``_project`` and ``_window_pool``. Inference never
+mutates the model and is safe to run concurrently; training is single-writer.
 """
 
 from __future__ import annotations
@@ -55,6 +63,8 @@ __all__ = [
     "FILTER_HEIGHTS",
     "M_MIN",
     "INFER_BATCH",
+    "INFER_BLOCK",
+    "INFER_SLICE",
     "DropoutSpec",
     "CnnConfig",
     "TrainConfig",
@@ -71,7 +81,9 @@ __all__ = [
 FILTER_HEIGHTS = (3, 4, 5)
 M_MIN = 5  # sequences are padded so the tallest filter always fits
 PROB_CLAMP = 1e-7
-INFER_BATCH = 32  # tweets per packed inference pass; bounds the projection matrices
+INFER_BLOCK = 2048  # tweets per inference block: one np.unique, each distinct id projected once
+INFER_SLICE = 64  # filters per inference projection: (distinct ids) x 5 x 64 at most
+INFER_BATCH = 32  # tweets per window-sum and max-pool run of inference
 
 PARAM_ORDER = (
     "emb",
@@ -179,6 +191,53 @@ def _pad_ids(ids: Sequence[int], m_max: int) -> np.ndarray:
     out = np.full(_padded_length(len(ids), m_max), PAD_ID, dtype=np.int64)
     out[: len(ids)] = ids
     return out
+
+
+def _pack(id_lists: Sequence, m_max: int) -> tuple:
+    """Padded tweets stacked end to end (no padding to a common length).
+
+    Returns the ids, each tweet's padded length, and per position the rows
+    from it to the end of its tweet: a bank-h window fits where that is >= h.
+    """
+    padded = [_pad_ids(ids, m_max) for ids in id_lists]
+    lengths = np.array([len(t) for t in padded], dtype=np.int64)
+    ids = np.concatenate(padded)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
+    return ids, lengths, room
+
+
+def _project(emb_u: np.ndarray, filter_rows: np.ndarray) -> np.ndarray:
+    """Every id row of ``emb_u`` through every filter offset of ``filter_rows``.
+
+    ``filter_rows`` holds one (filters, embed_dim) block per window offset,
+    laid out as ``CnnModel._filter_rows`` lays them out; so does each row of
+    the result, one column per (offset, filter).
+    """
+    return emb_u @ filter_rows.T
+
+
+def _window_pool(proj, reads, first, bias, masks=None) -> tuple:
+    """One bank's window sums and max-pool over a run of packed tweets.
+
+    ``proj`` is a ``_project`` value for one bank's offsets of ``len(bias)``
+    filters. ``reads[j]`` holds the row of ``proj`` each window reads at offset
+    j, ``masks[j]`` (if given) that word's input mask, and ``first`` the index of
+    each tweet's first window. A window sums its words' projections, each
+    scaled by its mask. Returns the pre-ReLU window values (windows, filters)
+    and the pooled ReLU maxima (tweets, filters).
+    """
+    count = len(bias)
+    for j, read in enumerate(reads):
+        term = proj[read, j * count : (j + 1) * count]
+        if masks is not None:
+            term *= masks[j][:, None]
+        if j:
+            z += term
+        else:
+            z = term
+    z += bias
+    # ReLU is monotone, so it commutes with the max: pool, then clip
+    return z, np.maximum(np.maximum.reduceat(z, first, axis=0), 0.0)
 
 
 def _param_shapes(cfg: CnnConfig, vocab_size: int) -> dict:
@@ -290,42 +349,34 @@ class CnnModel:
 
     # -- forward -----------------------------------------------------------
 
+    def _filter_rows(self, h: int, lo: int, hi: int) -> np.ndarray:
+        """Filters lo:hi of bank h as h row blocks, offset j's weights ``W_j`` in block j."""
+        n = self.cfg.embed_dim
+        w = self.params[f"conv{h}_w"][lo:hi]
+        return w.reshape(hi - lo, h, n).transpose(1, 0, 2).reshape(-1, n)
+
     def _conv_weights(self) -> np.ndarray:
         """Every filter bank's weights as one (sum of h * count, embed_dim) matrix.
 
-        Bank h's weights are ``[W_0 ... W_{h-1}]``, one (count, embed_dim) block
-        per window offset; they fill h row blocks here, offset j's block being
-        ``W_j``. So ``x @ conv_w.T`` projects a word row through every offset
-        of every bank at once.
+        The banks' ``_filter_rows`` stacked, so ``x @ conv_w.T`` projects a word
+        row through every offset of every bank at once.
         """
-        n = self.cfg.embed_dim
-        return np.concatenate(
-            [
-                self.params[f"conv{h}_w"].reshape(count, h, n).transpose(1, 0, 2).reshape(-1, n)
-                for h, count in zip(FILTER_HEIGHTS, self.cfg.filter_counts)
-            ]
-        )
+        banks = zip(FILTER_HEIGHTS, self.cfg.filter_counts)
+        return np.concatenate([self._filter_rows(h, 0, count) for h, count in banks])
 
-    def _forward(self, id_lists: Sequence, masks: Optional[tuple] = None, conv_w=None) -> tuple:
-        """P(HOF) per tweet (float64) and the intermediates backward needs.
+    def _forward(self, id_lists: Sequence, masks: Optional[tuple] = None) -> tuple:
+        """One packed pass: P(HOF) per tweet (float64) and the intermediates backward needs.
 
-        ``masks`` is the batch's ``make_masks`` value, or None for inference;
-        ``conv_w`` is ``_conv_weights()``, laid out afresh when not given.
+        ``masks`` is the batch's ``make_masks`` value, or None for no dropout.
         """
         p, cfg = self.params, self.cfg
-        padded = [_pad_ids(ids, cfg.m_max) for ids in id_lists]
-        lengths = np.array([len(t) for t in padded])
-        ids = np.concatenate(padded)  # no padding to a common length
-        # rows from each position to the end of its tweet: a window fits if >= h
-        room = np.concatenate([np.arange(len(t), 0, -1) for t in padded])
+        ids, lengths, room = _pack(id_lists, cfg.m_max)
         input_mask, head_masks = (None, {}) if masks is None else masks
-        if conv_w is None:
-            conv_w = self._conv_weights()
-        # each distinct id goes through every bank and offset once; a window
-        # then sums its words' projections, each scaled by its input mask
+        conv_w = self._conv_weights()
+        # each distinct id goes through every bank and offset once
         u, inv = np.unique(ids, return_inverse=True)
         emb_u = p["emb"][u]
-        proj = emb_u @ conv_w.T
+        proj = _project(emb_u, conv_w)
 
         saved = {"u": u, "inv": inv, "emb_u": emb_u, "conv_w": conv_w,
                  "input_mask": input_mask, "head_masks": head_masks, "ids": ids}
@@ -333,28 +384,54 @@ class CnnModel:
         col = 0
         for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
             rows = np.flatnonzero(room >= h)  # window starts
-            for j in range(h):
-                term = proj[inv[rows + j], col : col + count]
-                if input_mask is not None:
-                    term *= input_mask[rows + j, None]
-                if j:
-                    z += term
-                else:
-                    z = term
-                col += count
-            z += p[f"conv{h}_b"]
+            at = rows + np.arange(h)[:, None]  # (offset, window) -> packed position
             counts = lengths - h + 1
             first = np.cumsum(counts) - counts
-            # ReLU is monotone, so it commutes with the max: pool, then clip
-            pooled = np.maximum(np.maximum.reduceat(z, first, axis=0), 0.0)
+            z, pooled = _window_pool(proj[:, col : col + h * count], inv[at], first,
+                                     p[f"conv{h}_b"], None if masks is None else input_mask[at])
+            col += h * count
             saved[h] = {"rows": rows, "z": z, "pooled": pooled, "first": first, "counts": counts}
             pooled_parts.append(pooled)
 
-        acts, zs = dense_forward(np.concatenate(pooled_parts, axis=1), self._head(), head_masks)
-        logit = zs[1][:, 0].astype(np.float64)
+        probs, acts, zs = self._dense_head(np.concatenate(pooled_parts, axis=1), head_masks)
         saved.update(acts=acts, zs=zs, zd=zs[0])
+        return probs, saved
+
+    def _dense_head(self, pooled: np.ndarray, head_masks: dict) -> tuple:
+        """P(HOF) per pooled row (float64), with the head's saved activations."""
+        acts, zs = dense_forward(pooled, self._head(), head_masks)
+        logit = zs[1][:, 0].astype(np.float64)
         with np.errstate(over="ignore"):  # exp(-logit) = inf gives exactly 0.0
-            return 1.0 / (1.0 + np.exp(-logit)), saved
+            return 1.0 / (1.0 + np.exp(-logit)), acts, zs
+
+    def _block_proba(self, id_lists: Sequence) -> np.ndarray:
+        """P(HOF) per tweet of one inference block; see the module docstring."""
+        p, cfg = self.params, self.cfg
+        ids, lengths, room = _pack(id_lists, cfg.m_max)
+        u, inv = np.unique(ids, return_inverse=True)
+        emb_u = p["emb"][u]
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        pooled = np.empty((len(lengths), cfg.pooled_width), dtype=self.dtype)
+        col = 0
+        for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
+            runs = []  # per INFER_BATCH tweets: the first one, _window_pool's reads and first
+            for t0 in range(0, len(lengths), INFER_BATCH):
+                t1 = min(t0 + INFER_BATCH, len(lengths))
+                a, b = starts[t0], ends[t1 - 1]
+                rows = a + np.flatnonzero(room[a:b] >= h)
+                counts = lengths[t0:t1] - h + 1
+                runs.append((t0, inv[rows + np.arange(h)[:, None]], np.cumsum(counts) - counts))
+            for lo in range(0, count, INFER_SLICE):
+                hi = min(lo + INFER_SLICE, count)
+                proj = _project(emb_u, self._filter_rows(h, lo, hi))
+                bias = p[f"conv{h}_b"][lo:hi]
+                for t0, reads, first in runs:
+                    pooled[t0 : t0 + len(first), col + lo : col + hi] = _window_pool(
+                        proj, reads, first, bias)[1]
+                del proj  # else it lives on while the next slice's is computed
+            col += count
+        return self._dense_head(pooled, {})[0]
 
     def _head(self) -> list:
         """The dense ReLU layer and the output logit as one layer stack."""
@@ -362,16 +439,15 @@ class CnnModel:
         return [(p["dense_w"], p["dense_b"]), (p["out_w"][:, None], p["out_b"])]
 
     def predict_proba(self, id_lists: Sequence[Sequence[int]]) -> np.ndarray:
-        """P(HOF) per encoded tweet, computed INFER_BATCH tweets at a time.
+        """P(HOF) per encoded tweet, computed INFER_BLOCK tweets at a time.
 
         Raises ValueError if a probability is not finite, as parameters whose
         products overflow (say, from a corrupt checkpoint) give.
         """
-        conv_w = self._conv_weights()
         with np.errstate(over="ignore", invalid="ignore"):
             chunks = [
-                self._forward(id_lists[i : i + INFER_BATCH], conv_w=conv_w)[0]
-                for i in range(0, len(id_lists), INFER_BATCH)
+                self._block_proba(id_lists[i : i + INFER_BLOCK])
+                for i in range(0, len(id_lists), INFER_BLOCK)
             ]
         probs = np.concatenate(chunks) if chunks else np.zeros(0)
         if not np.isfinite(probs).all():

@@ -626,6 +626,19 @@ class TestGridSearch:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             make_baseline("svm", {}, 12)
+        with pytest.raises(ValueError, match="unknown baseline family 'svm'"):
+            grid_search("svm", {"k": [1]}, self._examples(), 12)
+
+    def test_every_grid_point_checked_before_any_fit(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(baselines, "make_baseline", lambda *args: fits.append(args))
+        with pytest.raises(ValueError, match="k must be a whole number >= 1, got 2.5"):
+            grid_search("knn", {"k": [3, 2.5]}, self._examples(), 12)
+        assert fits == []
+
+    def test_numpy_grid_values_accepted(self):
+        grid = {"epochs": [np.int64(2)], "lr": [np.float64(0.04)], "seed": [np.int32(1)]}
+        assert len(grid_search("dnn", grid, self._examples(), 12, folds=2).rows) == 1
 
     def test_all_families_fit_and_predict(self):
         examples = self._examples(40)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hofkit import cli, cnn, corpus, embedding
+from hofkit import baselines, cli, cnn, corpus, embedding
 from hofkit.seeding import derived_rng, derived_seeds
 
 DIVERGED = re.compile(r"error: training diverged: non-finite loss at epoch [1-9][0-9]*\n")
@@ -352,6 +352,48 @@ class TestConfigValidation:
         assert err.startswith("error:") and err.count("\n") == 1
         assert needle in err
         assert not (tmp_path / "model.ckpt").exists()
+
+
+    @pytest.mark.parametrize(
+        "command, text, key, shown",
+        [
+            ("train", '{"train": {"epochs": 1e999}}', "train.epochs", "Infinity"),
+            ("train", '{"train": {"epochs": Infinity}}', "train.epochs", "Infinity"),
+            ("train", '{"train": {"patience": NaN}}', "train.patience", "NaN"),
+            ("train", '{"train": {"batch_size": -Infinity}}', "train.batch_size", "-Infinity"),
+            ("train", '{"model": {"dense_units": 1e999}}', "model.dense_units", "Infinity"),
+            ("train", '{"model": {"m_max": NaN}}', "model.m_max", "NaN"),
+            ("train", '{"model": {"embed_dim": Infinity}}', "model.embed_dim", "Infinity"),
+            ("train", '{"model": {"filter_counts": [2, 2, 1e999]}}', "model.filter_counts",
+             "Infinity"),
+            ("train", '{"train": {"lr": 1' + "0" * 400 + "}}", "train.lr", "1" + "0" * 400),
+            ("train-unseeded", '{"seed": 1e999}', "seed", "Infinity"),
+            ("cv", '{"folds": 1e999}', "folds", "Infinity"),
+            ("cv", '{"train": {"epochs": 1e999}}', "train.epochs", "Infinity"),
+            ("embed-train", '{"embedding": {"dim": Infinity}}', "embedding.dim", "Infinity"),
+        ],
+    )
+    def test_number_no_conversion_takes_is_one_error_line(self, tmp_path, capsys, command, text,
+                                                           key, shown):
+        data = make_labelled_tsv(tmp_path / "train.tsv")
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("2 2\naccha 0.1 0.2\nbura 0.3 0.4\n", encoding="utf-8")
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--data", str(data), "--embeddings", str(vectors), "--out", str(out),
+                      "--seed", "1"],
+            "cv": ["cv", "--data", str(data), "--embeddings", str(vectors), "--out", str(out),
+                   "--seed", "1"],
+            "embed-train": ["embed-train", str(data), "--out", str(out), "--seed", "1"],
+        }
+        argv["train-unseeded"] = argv["train"][:-2]
+        rc = cli.main(argv[command] + ["--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {key} must be a finite number, got {shown}\n"
+        assert not out.exists()
 
 
 class TestEvalAndPredictCmds:
@@ -828,6 +870,42 @@ class TestBaselineCmd:
             )
         assert rc == 1
         assert DIVERGED.fullmatch(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "family, grid, needle",
+        [
+            ("knn", '{"k": [2.5]}', "k must be a whole number >= 1, got 2.5"),
+            ("knn", '{"k": [3, 1e999]}', "k must be a whole number >= 1, got inf"),
+            ("knn", '{"k": [0]}', "k must be a whole number >= 1, got 0"),
+            ("mnb", '{"alpha": [0.5, NaN]}', "alpha must be a finite number > 0, got nan"),
+            ("mnb", '{"alpha": [0]}', "alpha must be a finite number > 0, got 0"),
+            ("ridge", '{"lambda": [Infinity]}', "lambda must be a finite number > 0, got inf"),
+            ("mnb", '{"alpah": [0.5]}', "mnb has no parameter 'alpah' (it takes alpha)"),
+            ("knn", '[{"k": 3}, {"alpha": 1.0}]', "knn has no parameter 'alpha' (it takes k)"),
+            ("dnn", '{"epochs": [true]}', "epochs must be a whole number >= 1, got True"),
+            ("dnn", '{"batch_size": [0]}', "batch_size must be a whole number >= 1, got 0"),
+            ("dnn", '{"lr": [-0.1]}', "lr must be a finite number > 0, got -0.1"),
+            ("dnn", '{"lr": ["0.04"]}', "lr must be a finite number > 0, got '0.04'"),
+            ("dnn", '{"seed": [-1]}', "seed must be a whole number >= 0, got -1"),
+        ],
+    )
+    def test_bad_grid_point_is_one_error_line_before_any_fold(self, tmp_path, capsys, monkeypatch,
+                                                              family, grid, needle):
+        fits = []
+        monkeypatch.setattr(baselines, "make_baseline", lambda *args: fits.append(args))
+        data = make_labelled_tsv(tmp_path / "train.tsv", n=30)
+        path = tmp_path / "grid.json"
+        path.write_text(grid, encoding="utf-8")
+        out = tmp_path / "table.tsv"
+        rc = cli.main(
+            ["baseline", "--model", family, "--data", str(data), "--grid", str(path),
+             "--folds", "3", "--min-count", "1", "--seed", "4", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: grid point") and err.count("\n") == 1
+        assert needle in err
+        assert fits == [] and not out.exists()
 
     @pytest.mark.parametrize("grid", [{"alpha": 1.0}, [1, 2]], ids=["scalar-values", "list-of-numbers"])
     def test_malformed_grid_is_one_error_line(self, tmp_path, capsys, grid):

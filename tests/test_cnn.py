@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -441,6 +442,66 @@ class TestProjectionMatchesPackedOracle:
             assert not np.asarray(grads["emb"])[corpus.PAD_ID].any()
             if input_rate == 0.0:
                 assert (oracle["dx"][ids == corpus.PAD_ID] != 0).any()
+
+
+class TestInferenceBlocks:
+    """Blocks, window-sum runs and filter slices leave every probability as it was."""
+
+    @pytest.fixture
+    def tiny_blocks(self, monkeypatch):
+        # blocks of 3 tweets, runs of 2 and slices of 3 filters: bank 5's 4 filters
+        # split 3 + 1, and a block's last run holds one tweet
+        monkeypatch.setattr(cnn, "INFER_BLOCK", 3)
+        monkeypatch.setattr(cnn, "INFER_BATCH", 2)
+        monkeypatch.setattr(cnn, "INFER_SLICE", 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_tweet_forward_and_packed_oracle(self, tiny_blocks, dtype):
+        model, rng = small_model(seed=13, dtype=dtype)
+        shared = (4, 2, 6, 2)  # in blocks 0, 1 and 4; block 4 holds only this tweet
+        queries = [shared, (), tuple(range(1, 9)) * 2, (7,), (), shared, (3, 5)] + [
+            tuple(int(x) for x in rng.integers(1, 9, size=int(rng.integers(0, 15))))
+            for _ in range(4)
+        ] + [(8, 1, 8, 1, 8, 1, 8), shared]
+        assert max(len(q) for q in queries) > model.cfg.m_max
+        assert len(queries) % cnn.INFER_BLOCK == 1
+        probs = model.predict_proba(queries)
+        assert probs.shape == (len(queries),)
+        if dtype == np.float64:
+            assert np.abs(probs - [forward(model, q) for q in queries]).max() < 1e-12
+        assert _relative(probs, packed_forward(model, queries)[0]) < 1e-6
+        # a product's shape may move float32 rounding: a tweet matches itself in other
+        # blocks within the oracle's tolerance, and bit for bit in the same block
+        assert _relative(probs[[5, -1]], probs[[0, 0]]) < 1e-6
+        one_block = queries[: cnn.INFER_BLOCK]
+        assert np.array_equal(model.predict_proba(one_block), probs[: cnn.INFER_BLOCK])
+        assert model.predict_proba([]).shape == (0,)
+
+
+def test_inference_peak_memory_is_one_filter_slice_of_the_block_ids():
+    # paper shape over 1500 tweets, one block; each distinct id's row through
+    # one slice of filters is the largest temporary, so a projection through a
+    # whole bank (ids x 5 x 512) or through all 4352 columns fails the bound
+    rng = derived_rng(21, "cnn-test-memory")
+    cfg = CnnConfig()
+    model = CnnModel.init(rng.normal(0, 0.1, size=(8000, cfg.embed_dim)), cfg)
+    queries = [tuple(int(x) for x in rng.integers(2, 8000, size=n))
+               for n in rng.integers(0, 70, size=1500)]
+    assert len(queries) <= cnn.INFER_BLOCK
+    ids = np.concatenate([_pad_ids(q, cfg.m_max) for q in queries])
+    item = model.dtype.itemsize
+    bound = (
+        len(np.unique(ids)) * (cfg.embed_dim + max(cnn.FILTER_HEIGHTS) * cnn.INFER_SLICE) * item
+        + len(queries) * (cfg.pooled_width + 3 * cfg.dense_units) * item
+        + len(ids) * 8 * 8  # int64 ids, their inverse, window starts and np.unique's work
+    )
+    tracemalloc.start()
+    try:
+        model.predict_proba(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 # ragged padded lengths: a tweet truncated at m_max = 7, tweets shorter than
