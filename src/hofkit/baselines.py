@@ -31,7 +31,6 @@ __all__ = [
     "ridge_predict",
     "DnnConfig",
     "DnnModel",
-    "make_baseline",
     "BASELINE_FAMILIES",
     "grid_search",
     "GridSearchResult",
@@ -283,56 +282,7 @@ def _mean_nll(probs: np.ndarray, ys: Sequence[int]) -> float:
     return float(-np.log(np.maximum(picked, 1e-12)).sum() / len(ys))
 
 
-# -- uniform wrapper + grid search -------------------------------------------
-
-
-class _BaselineWrapper:
-    """fit/predict facade over a baseline family for grid search and the CLI.
-
-    Each fit and each predict_batch featurizes its examples into one matrix.
-    The DNN takes ``seed`` unless ``params`` names its own.
-    """
-
-    def __init__(self, family: str, params: dict, vocab_size: int, seed: int = 0):
-        self.family = family
-        self.params = dict(params)
-        self.vocab_size = vocab_size
-        self.seed = seed
-        self._featurizer = BowFeaturizer(vocab_size, "count" if family == "mnb" else "tfidf")
-        self._fitted = None
-
-    def fit(self, examples: Sequence[EncodedExample]) -> "_BaselineWrapper":
-        p = self.params
-        labels = [ex.label for ex in examples]
-        x = self._featurizer.matrix(examples, fit=True)
-        if self.family == "mnb":
-            self._fitted = mnb_train(x, labels, p.get("alpha", 1.0))
-        elif self.family == "ridge":
-            y = np.where(np.asarray(labels) == HOF, 1.0, -1.0)
-            self._fitted = ridge_train(x, y, p.get("lambda", 1.0))
-        elif self.family == "knn":
-            self._fitted = (_unit_rows(x), labels)
-        else:
-            cfg = DnnConfig(
-                lr=p.get("lr", 0.04),
-                epochs=p.get("epochs", 200),
-                batch_size=p.get("batch_size", 32),
-                seed=p.get("seed", self.seed),
-            )
-            self._fitted = DnnModel(self.vocab_size, cfg)
-            self._fitted.fit(x, labels)
-        return self
-
-    def predict_batch(self, examples: Sequence[EncodedExample]) -> list:
-        x = self._featurizer.matrix(examples)
-        if self.family == "mnb":
-            return mnb_predict(self._fitted, x)[0].tolist()
-        if self.family == "ridge":
-            return ridge_predict(self._fitted, x).tolist()
-        if self.family == "knn":
-            train, labels = self._fitted
-            return _knn_vote(_unit_rows(x), train, labels, self.params.get("k", 5))
-        return self._fitted.predict(x).tolist()
+# -- grid search -------------------------------------------------------------
 
 
 BASELINE_FAMILIES = ("mnb", "ridge", "knn", "dnn")
@@ -381,12 +331,6 @@ def _finite_positive(value: numbers.Real) -> bool:
         return False
 
 
-def make_baseline(family: str, params: dict, vocab_size: int, seed: int = 0) -> _BaselineWrapper:
-    if family not in BASELINE_FAMILIES:
-        raise ValueError(f"unknown baseline family {family!r}")
-    return _BaselineWrapper(family, params, vocab_size, seed)
-
-
 def expand_grid(grid) -> list:
     """dict-of-lists or list-of-dicts -> list of parameter dicts, in declaration order."""
     if isinstance(grid, list) and all(isinstance(g, dict) for g in grid):
@@ -411,6 +355,61 @@ class GridSearchResult:
         return self.rows[self.best_index][0]
 
 
+def _fit(family: str, params: dict, x: np.ndarray, labels: Sequence[int], seed: int):
+    """One grid point's model, fit on a fold's feature matrix ``x`` and its labels.
+
+    A kNN model keeps ``x`` itself, so its rows must already be unit rows.
+    The DNN takes ``seed`` unless ``params`` names its own.
+    """
+    if family == "mnb":
+        return mnb_train(x, labels, **params)
+    if family == "ridge":
+        y = np.where(np.asarray(labels) == HOF, 1.0, -1.0)
+        return ridge_train(x, y, params.get("lambda", 1.0))
+    if family == "knn":
+        return x, labels, params.get("k", 5)
+    model = DnnModel(x.shape[1], DnnConfig(**{"seed": seed, **params}))
+    model.fit(x, labels)
+    return model
+
+
+def _predict(family: str, model, queries: np.ndarray) -> list:
+    """One class per row of ``queries``, featurized as the model's training rows were."""
+    if family == "mnb":
+        return mnb_predict(model, queries)[0].tolist()
+    if family == "ridge":
+        return ridge_predict(model, queries).tolist()
+    if family == "knn":
+        return _knn_vote(queries, *model)
+    return model.predict(queries).tolist()
+
+
+def _fold_scores(
+    family: str,
+    points: list,
+    train: Sequence[EncodedExample],
+    test: Sequence[EncodedExample],
+    vocab_size: int,
+    seed: int,
+) -> list:
+    """Each grid point's macro-F1 on one fold: fit on ``train``, scored on ``test``.
+
+    The train rows and the test rows are featurized once each, and kNN scales
+    each matrix to unit rows once (a second pass can move their last bits).
+    The test rows are featurized only after every fit, so the training matrix
+    is not held beside them unless a model keeps it; both die on return.
+    """
+    featurizer = BowFeaturizer(vocab_size, "count" if family == "mnb" else "tfidf")
+    unit = _unit_rows if family == "knn" else (lambda m: m)
+    x = unit(featurizer.matrix(train, fit=True))
+    labels = [ex.label for ex in train]
+    models = [_fit(family, params, x, labels, seed) for params in points]
+    del x
+    queries = unit(featurizer.matrix(test))
+    gold = [ex.label for ex in test]
+    return [macro_f1(_predict(family, model, queries), gold) for model in models]
+
+
 def grid_search(
     family: str,
     grid,
@@ -431,21 +430,14 @@ def grid_search(
         raise ValueError("empty parameter grid")
     for params in points:
         _check_point(family, params)
-    partitions = kfold(len(examples), folds, seed)
-    rows = []
-    best_index = 0
-    best_mean = -1.0
-    for gi, params in enumerate(points):
-        scores = []
-        for train_idx, test_idx in partitions:
-            train = [examples[i] for i in train_idx]
-            test = [examples[i] for i in test_idx]
-            model = make_baseline(family, params, vocab_size, seed).fit(train)
-            preds = model.predict_batch(test)
-            scores.append(macro_f1(preds, [ex.label for ex in test]))
-        mean = sum(scores) / len(scores)
-        rows.append((params, scores, mean))
-        if mean > best_mean:
-            best_mean = mean
-            best_index = gi
+    per_fold = [
+        _fold_scores(family, points, [examples[i] for i in train_idx],
+                     [examples[i] for i in test_idx], vocab_size, seed)
+        for train_idx, test_idx in kfold(len(examples), folds, seed)
+    ]
+    rows = [
+        (params, list(scores), sum(scores) / len(scores))
+        for params, scores in zip(points, zip(*per_fold))
+    ]
+    best_index = max(range(len(rows)), key=lambda i: rows[i][2])
     return GridSearchResult(rows, best_index)

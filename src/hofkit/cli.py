@@ -37,11 +37,19 @@ _NUMERIC_KEYS = {
     "embedding": ("dim", "window", "min_count", "epochs", "negatives", "initial_lr"),
 }
 
+# Top-level config keys that are not numbers: the file paths and one switch.
+_TYPED_KEYS = {
+    **dict.fromkeys(("data", "embeddings", "checkpoint", "history", "suffixes"), str),
+    "stratify": bool,
+}
+_TYPE_NAMES = {str: "a string", bool: "true or false"}
+
 
 def _load_config(path) -> dict:
     """Read a JSON config: an object whose sections are objects of numbers.
 
-    ``model.filter_counts`` holds a list of numbers.
+    ``model.filter_counts`` holds a list of numbers. The file paths at the
+    top level are strings and ``stratify`` is a boolean.
     """
     if path is None:
         return {}
@@ -49,6 +57,11 @@ def _load_config(path) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"config {path}: top level must be a JSON object")
+    for key, kind in _TYPED_KEYS.items():
+        if key in config and not isinstance(config[key], kind):
+            raise ValueError(
+                f"config {path}: {key} must be {_TYPE_NAMES[kind]}, got {json.dumps(config[key])}"
+            )
     for section, keys in _NUMERIC_KEYS.items():
         values = config.get(section, {}) if section else config
         if not isinstance(values, dict):
@@ -205,7 +218,7 @@ def cmd_train(args) -> int:
     train_cfg = _train_config_from(args, config, seed)
 
     val_fraction = _number(config.get("val_fraction", 0.2), "val_fraction", float)
-    stratify = bool(config.get("stratify", False))
+    stratify = config.get("stratify", False)  # _load_config checked it is a boolean
     train_ds, val_ds = corpus.split_train_val(ds, val_fraction, seed, stratify)
     train_ex = corpus.encode_dataset(train_ds, vocab)
     val_ex = corpus.encode_dataset(val_ds, vocab)

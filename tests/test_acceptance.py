@@ -200,8 +200,8 @@ def test_criterion_5_model_ordering_under_noise():
         ("knn", {"k": 5}),
         ("dnn", {"epochs": 100, "lr": 0.04, "seed": 5}),
     ):
-        fitted = baselines.make_baseline(family, params, len(vocab)).fit(train_ex)
-        scores[family] = metrics.macro_f1(fitted.predict_batch(val_ex), val_labels)
+        f1s = baselines._fold_scores(family, [params], train_ex, val_ex, len(vocab), 0)
+        scores[family] = f1s[0]
     ok = all(scores["cnn"] >= v for k, v in scores.items() if k != "cnn")
     detail = ", ".join(f"{k} {v:.3f}" for k, v in scores.items())
     _report(5, "noisy-task ordering", ok, detail)

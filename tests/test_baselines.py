@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,18 +11,20 @@ from hofkit.baselines import (
     BowFeaturizer,
     DnnConfig,
     DnnModel,
+    _fit,
     _knn_vote,
+    _predict,
     _unit_rows,
     expand_grid,
     grid_search,
-    make_baseline,
     mnb_predict,
     mnb_train,
     ridge_predict,
     ridge_train,
 )
-from hofkit.corpus import EncodedExample
+from hofkit.corpus import EncodedExample, kfold
 from hofkit.layers import dropout_mask
+from hofkit.metrics import macro_f1
 from hofkit.seeding import derived_rng
 
 from gradcheck import finite_difference, group_relative_error
@@ -337,6 +340,17 @@ def _brute_force_knn(query, train, labels, k, tol=1e-9):
     return (1 if votes >= 0 else 0), ambiguous
 
 
+def _knn_model(train, vocab, k):
+    """A featurizer fit on ``train`` and the kNN model grid search fits on its unit rows."""
+    featurizer = BowFeaturizer(vocab, "tfidf")
+    x = _unit_rows(featurizer.matrix(train, fit=True))
+    return featurizer, _fit("knn", {"k": k}, x, [ex.label for ex in train], 0)
+
+
+def _knn_classes(featurizer, model, queries) -> list:
+    return _predict("knn", model, _unit_rows(featurizer.matrix(queries)))
+
+
 class TestKnnBatched:
     @given(
         st.integers(0, 2**31 - 1),
@@ -370,11 +384,10 @@ class TestKnnBatched:
         for _ in range(n_zero_query):
             insert_anywhere(queries, EncodedExample(()))
 
-        model = make_baseline("knn", {"k": k}, vocab).fit(train)
-        got = model.predict_batch(queries)
+        featurizer, model = _knn_model(train, vocab, k)
+        got = _knn_classes(featurizer, model, queries)
         assert len(got) == len(queries)
 
-        featurizer = BowFeaturizer(vocab, "tfidf").fit(train)
         x_train, x_query = featurizer.matrix(train), featurizer.matrix(queries)
         labels = [ex.label for ex in train]
         for q, pred in zip(x_query, got):
@@ -382,18 +395,35 @@ class TestKnnBatched:
             if not ambiguous:
                 assert pred == want
         if queries:
-            assert model.predict_batch(queries[:1]) == got[:1]
+            assert _knn_classes(featurizer, model, queries[:1]) == got[:1]
 
     def test_zero_query_takes_first_k_rows(self):
         train = [EncodedExample((2,), 1), EncodedExample((3,), 0), EncodedExample((4,), 0)]
-        model = make_baseline("knn", {"k": 1}, 6).fit(train)
-        assert model.predict_batch([EncodedExample(()), EncodedExample((3,))]) == [1, 0]
+        featurizer, model = _knn_model(train, 6, 1)
+        assert _knn_classes(featurizer, model, [EncodedExample(()), EncodedExample((3,))]) == [1, 0]
 
-    def test_fit_stores_unit_rows(self):
-        train = [EncodedExample((2, 2, 3), 1), EncodedExample((), 0)]
-        model = make_baseline("knn", {"k": 1}, 6).fit(train)
-        norms = np.linalg.norm(model._fitted[0], axis=1)
-        assert norms[0] == pytest.approx(1.0) and norms[1] == 0.0
+    def test_fit_stores_unit_rows(self, monkeypatch):
+        # grid search scales each fold's train and test matrix to unit rows
+        # once, before any vote, however many grid points share them
+        scaled, voted = [], []
+
+        def unit_rows(x):
+            scaled.append(x.shape[0])
+            return _unit_rows(x)
+
+        def vote(queries, train, labels, k):
+            voted.append((queries, train))
+            return _knn_vote(queries, train, labels, k)
+
+        monkeypatch.setattr(baselines, "_unit_rows", unit_rows)
+        monkeypatch.setattr(baselines, "_knn_vote", vote)
+        examples = [EncodedExample((2, 2, 3), 1), EncodedExample((), 0)] * 6
+        grid_search("knn", {"k": [1, 2, 3, 5]}, examples, 6, folds=3)
+        assert scaled == [8, 4] * 3 and len(voted) == 4 * 3
+        for queries, train in voted:
+            for m in (queries, train):
+                norms = np.linalg.norm(m, axis=1)
+                assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
 
     def test_knn_predict_leaves_inputs_untouched(self):
         x = np.array([[3.0, 4.0], [0.0, 0.0]])
@@ -402,8 +432,8 @@ class TestKnnBatched:
         assert x.tolist() == [[3.0, 4.0], [0.0, 0.0]] and q.tolist() == [6.0, 8.0]
 
     def test_empty_query_batch(self):
-        model = make_baseline("knn", {"k": 3}, 6).fit([EncodedExample((2,), 1)])
-        assert model.predict_batch([]) == []
+        featurizer, model = _knn_model([EncodedExample((2,), 1)], 6, 3)
+        assert _knn_classes(featurizer, model, []) == []
 
 
 def _dense_row(ex, featurizer):
@@ -576,6 +606,16 @@ class TestDnn:
         assert model.params["w5"].shape == (8, 2)
 
 
+# four points per family, defaults included
+GRIDS = {
+    "mnb": [{}, {"alpha": 0.1}, {"alpha": 0.5}, {"alpha": 2.0}],
+    "ridge": [{}, {"lambda": 0.1}, {"lambda": 3.0}, {"lambda": 10.0}],
+    "knn": [{}, {"k": 1}, {"k": 2}, {"k": 40}],
+    "dnn": [{"epochs": 3}, {"epochs": 4, "lr": 0.1, "seed": 7}, {"epochs": 3, "batch_size": 8},
+            {"epochs": 2, "lr": 0.2, "batch_size": 4, "seed": 1}],
+}
+
+
 class TestGridSearch:
     def _examples(self, n=30):
         rng = derived_rng(7, "grid")
@@ -624,14 +664,12 @@ class TestGridSearch:
             grid_search("mnb", [], self._examples(), 12)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            make_baseline("svm", {}, 12)
         with pytest.raises(ValueError, match="unknown baseline family 'svm'"):
             grid_search("svm", {"k": [1]}, self._examples(), 12)
 
     def test_every_grid_point_checked_before_any_fit(self, monkeypatch):
         fits = []
-        monkeypatch.setattr(baselines, "make_baseline", lambda *args: fits.append(args))
+        monkeypatch.setattr(baselines, "_fit", lambda *args: fits.append(args))
         with pytest.raises(ValueError, match="k must be a whole number >= 1, got 2.5"):
             grid_search("knn", {"k": [3, 2.5]}, self._examples(), 12)
         assert fits == []
@@ -640,23 +678,30 @@ class TestGridSearch:
         grid = {"epochs": [np.int64(2)], "lr": [np.float64(0.04)], "seed": [np.int32(1)]}
         assert len(grid_search("dnn", grid, self._examples(), 12, folds=2).rows) == 1
 
+    def _matrix(self, family, n):
+        examples = self._examples(n)
+        featurizer = BowFeaturizer(12, "count" if family == "mnb" else "tfidf")
+        x = featurizer.matrix(examples, fit=True)
+        return (_unit_rows(x) if family == "knn" else x), [ex.label for ex in examples]
+
     def test_all_families_fit_and_predict(self):
-        examples = self._examples(40)
         for family, params in [
             ("mnb", {"alpha": 1.0}),
             ("ridge", {"lambda": 1.0}),
             ("knn", {"k": 3}),
             ("dnn", {"epochs": 30, "lr": 0.04, "seed": 1}),
         ]:
-            model = make_baseline(family, params, 12).fit(examples)
-            preds = model.predict_batch(examples)
-            assert set(preds) <= {0, 1}
+            x, labels = self._matrix(family, 40)
+            model = _fit(family, params, x, labels, 0)
+            preds = _predict(family, model, x)
+            assert len(preds) == 40 and set(preds) <= {0, 1}
+            assert _predict(family, model, x[:0]) == []
 
     def test_dnn_takes_the_run_seed_unless_the_grid_names_one(self):
-        examples = self._examples(20)
+        x, labels = self._matrix("dnn", 20)
 
         def fitted(params, seed):
-            return make_baseline("dnn", params, 12, seed).fit(examples)._fitted.params
+            return _fit("dnn", params, x, labels, seed).params
 
         one, two = fitted({"epochs": 2}, 1), fitted({"epochs": 2}, 2)
         assert any(not np.array_equal(one[k], two[k]) for k in one)
@@ -674,4 +719,84 @@ class TestGridSearch:
         monkeypatch.setattr(baselines, "DnnModel", Recording)
         grid = [{"epochs": 1}, {"epochs": 1, "seed": 9}]
         grid_search("dnn", grid, self._examples(), 12, folds=2, seed=4)
-        assert seeds == [4, 4, 9, 9]
+        assert seeds == [4, 9, 4, 9]  # folds outside, grid points inside
+
+    @pytest.mark.parametrize("family, grid", GRIDS.items(), ids=list(GRIDS))
+    def test_rows_match_a_fit_per_point_and_fold(self, family, grid):
+        examples, points = self._examples(40), expand_grid(grid)
+        got = grid_search(family, grid, examples, 12, folds=4, seed=6).rows
+        assert got == _grid_rows_oracle(family, points, examples, 12, folds=4, seed=6)
+
+    @pytest.mark.parametrize("family, grid", GRIDS.items(), ids=list(GRIDS))
+    def test_featurizes_each_fold_once(self, monkeypatch, family, grid):
+        calls = []
+        matrix = BowFeaturizer.matrix
+
+        def counting(self, examples, fit=False):
+            calls.append(fit)
+            return matrix(self, examples, fit)
+
+        monkeypatch.setattr(BowFeaturizer, "matrix", counting)
+        grid_search(family, grid, self._examples(), 12, folds=3)
+        assert calls == [True, False] * 3  # one pair per fold, not per (point, fold)
+
+    @pytest.mark.parametrize("family, grid", GRIDS.items(), ids=list(GRIDS))
+    def test_every_fit_precedes_the_test_rows(self, monkeypatch, family, grid):
+        # the test rows are featurized after every fit of their fold, and by
+        # then the fold's training matrix is freed unless a kNN model keeps
+        # it; no matrix of an earlier fold outlives its fold
+        events, alive, refs = [], [], []
+        matrix, fit_model = BowFeaturizer.matrix, baselines._fit
+
+        def recording_matrix(self, examples, fit=False):
+            events.append("train" if fit else "test")
+            alive.append([ref() is not None for ref in refs])
+            out = matrix(self, examples, fit)
+            refs.append(weakref.ref(out))
+            return out
+
+        def recording_fit(*args):
+            events.append("fit")
+            return fit_model(*args)
+
+        monkeypatch.setattr(BowFeaturizer, "matrix", recording_matrix)
+        monkeypatch.setattr(baselines, "_fit", recording_fit)
+        grid_search(family, grid, self._examples(), 12, folds=3)
+        assert events == (["train"] + ["fit"] * 4 + ["test"]) * 3
+        keeps_x = family == "knn"
+        assert alive == [[], [keeps_x], [False, False], [False, False, keeps_x],
+                         [False] * 4, [False] * 4 + [keeps_x]]
+
+
+def _grid_rows_oracle(family, points, examples, vocab_size, folds, seed) -> list:
+    """``grid_search`` rows from a fresh featurizer and fit per (point, fold): the oracle."""
+    rows = []
+    for params in points:
+        scores = []
+        for train_idx, test_idx in kfold(len(examples), folds, seed):
+            train = [examples[i] for i in train_idx]
+            test = [examples[i] for i in test_idx]
+            labels = [ex.label for ex in train]
+            featurizer = BowFeaturizer(vocab_size, "count" if family == "mnb" else "tfidf")
+            x = featurizer.matrix(train, fit=True)
+            queries = featurizer.matrix(test)
+            if family == "mnb":
+                preds = mnb_predict(mnb_train(x, labels, params.get("alpha", 1.0)), queries)[0]
+            elif family == "ridge":
+                y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
+                preds = ridge_predict(ridge_train(x, y, params.get("lambda", 1.0)), queries)
+            elif family == "knn":
+                preds = _knn_vote(_unit_rows(queries), _unit_rows(x), labels, params.get("k", 5))
+            else:
+                cfg = DnnConfig(
+                    lr=params.get("lr", 0.04),
+                    epochs=params.get("epochs", 200),
+                    batch_size=params.get("batch_size", 32),
+                    seed=params.get("seed", seed),
+                )
+                model = DnnModel(vocab_size, cfg)
+                model.fit(x, labels)
+                preds = model.predict(queries)
+            scores.append(macro_f1(np.asarray(preds).tolist(), [ex.label for ex in test]))
+        rows.append((params, scores, sum(scores) / len(scores)))
+    return rows

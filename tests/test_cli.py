@@ -353,6 +353,63 @@ class TestConfigValidation:
         assert needle in err
         assert not (tmp_path / "model.ckpt").exists()
 
+    @staticmethod
+    def _train_with_config(tmp_path, config, omit=()):
+        """``train`` under ``config``, with every path flag but those in ``omit``."""
+        tmp_path.mkdir(exist_ok=True)
+        data = make_labelled_tsv(tmp_path / "train.tsv")
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("2 2\naccha 0.1 0.2\nbura 0.3 0.4\n", encoding="utf-8")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        flags = {"--data": data, "--embeddings": vectors, "--out": tmp_path / "model.ckpt",
+                 "--history": tmp_path / "history.tsv"}
+        argv = ["train", "--config", str(path), "--seed", "1"]
+        for flag, value in flags.items():
+            if flag not in omit:
+                argv += [flag, str(value)]
+        return cli.main(argv), path
+
+    @pytest.mark.parametrize(
+        "key, flag",
+        [("data", "--data"), ("embeddings", "--embeddings"), ("checkpoint", "--out"),
+         ("history", "--history"), ("suffixes", None)],
+    )
+    def test_path_key_holding_a_number_is_one_error_line(self, tmp_path, capsys, key, flag):
+        # without the flag, the config value is the path train would use
+        rc, path = self._train_with_config(tmp_path, {key: 1}, omit=(flag,))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config {path}: {key} must be a string, got 1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "train.tsv", "vectors.txt"
+        ]
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_stratify_other_than_a_boolean_is_one_error_line(self, tmp_path, capsys, value):
+        rc, path = self._train_with_config(tmp_path, {"stratify": value})
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: config {path}: stratify must be true or false, got {json.dumps(value)}\n"
+        )
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_stratify_reaches_the_split(self, tmp_path, monkeypatch):
+        seen = []
+        split = corpus.split_train_val
+
+        def recording(ds, val_fraction, seed, stratified):
+            seen.append(stratified)
+            return split(ds, val_fraction, seed, stratified)
+
+        monkeypatch.setattr(corpus, "split_train_val", recording)
+        config = {"model": {"filter_counts": [2, 2, 4], "dense_units": 4, "m_max": 8},
+                  "train": {"epochs": 1}}
+        for i, stratify in enumerate([True, False, None]):
+            extra = {} if stratify is None else {"stratify": stratify}
+            rc, _ = self._train_with_config(tmp_path / str(i), {**config, **extra})
+            assert rc == 0
+        assert seen == [True, False, False]
+
 
     @pytest.mark.parametrize(
         "command, text, key, shown",
@@ -892,7 +949,7 @@ class TestBaselineCmd:
     def test_bad_grid_point_is_one_error_line_before_any_fold(self, tmp_path, capsys, monkeypatch,
                                                               family, grid, needle):
         fits = []
-        monkeypatch.setattr(baselines, "make_baseline", lambda *args: fits.append(args))
+        monkeypatch.setattr(baselines, "_fit", lambda *args: fits.append(args))
         data = make_labelled_tsv(tmp_path / "train.tsv", n=30)
         path = tmp_path / "grid.json"
         path.write_text(grid, encoding="utf-8")
