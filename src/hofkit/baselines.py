@@ -127,19 +127,19 @@ class RidgeModel:
     lam: float
 
 
-def ridge_train(x: np.ndarray, y: np.ndarray, lam: float) -> RidgeModel:
-    """L2-penalized least squares on +/-1 targets, bias unpenalized.
+def ridge_train(x: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> list:
+    """L2-penalized least squares on +/-1 targets, bias unpenalized: one model per lambda.
 
-    Centring x and y eliminates the bias; the weights then come from one
-    direct solve of the n x n dual system (Xc Xc' + lam I) a = yc, w = Xc' a.
+    Centring x and y eliminates the bias. One Gram matrix G = Xc Xc' serves each
+    lambda's direct solve of the n x n dual system (G + lam I) a = yc, w = Xc' a.
     """
-    if lam <= 0:
+    if any(lam <= 0 for lam in lams):
         raise ValueError("lambda must be > 0")
     mean_x, mean_y = x.mean(axis=0), float(y.mean())
     xc = x - mean_x
-    a = np.linalg.solve(xc @ xc.T + lam * np.eye(len(y)), y - mean_y)
-    w = xc.T @ a
-    return RidgeModel(w, mean_y - float(mean_x @ w), lam)
+    gram, yc = xc @ xc.T, y - mean_y
+    ws = [xc.T @ np.linalg.solve(gram + lam * np.eye(len(y)), yc) for lam in lams]
+    return [RidgeModel(w, mean_y - float(mean_x @ w), lam) for w, lam in zip(ws, lams)]
 
 
 def ridge_predict(model: RidgeModel, x: np.ndarray) -> np.ndarray:
@@ -158,22 +158,22 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _knn_vote(queries: np.ndarray, train: np.ndarray, labels: Sequence[int], k: int) -> list:
-    """Majority vote among the k most similar training rows, per query row.
+def _knn_votes(queries: np.ndarray, train: np.ndarray, labels: Sequence[int], ks) -> list:
+    """Majority vote among the k most similar training rows, per query row: one list per k.
 
     Both matrices hold unit-norm (or zero) rows, so one product gives every
-    cosine; a zero row has similarity 0 to everything. Similarity ties keep
-    training order (lower index wins); vote ties go to HOF.
+    cosine; a zero row has similarity 0 to everything. One stable sort serves every
+    k: similarity ties keep training order (lower index wins); vote ties go to HOF.
     """
-    if k < 1:
+    if min(ks) < 1:
         raise ValueError("k must be >= 1")
-    if train.shape[0] == 0:
+    if len(train) == 0:
         raise ValueError("training set is empty")
+    sims = queries @ train.T
+    np.negative(sims, out=sims)
     votes_for = np.where(np.asarray(labels) == HOF, 1, -1)
-    return [
-        HOF if votes_for[np.argsort(-row, kind="stable")[:k]].sum() >= 0 else NOT
-        for row in queries @ train.T
-    ]
+    tally = np.cumsum(votes_for[np.argsort(sims, axis=1, kind="stable")[:, : max(ks)]], axis=1)
+    return [np.where(tally[:, min(k, len(train)) - 1] >= 0, HOF, NOT).tolist() for k in ks]
 
 
 # -- feedforward network -----------------------------------------------------
@@ -355,33 +355,34 @@ class GridSearchResult:
         return self.rows[self.best_index][0]
 
 
-def _fit(family: str, params: dict, x: np.ndarray, labels: Sequence[int], seed: int):
-    """One grid point's model, fit on a fold's feature matrix ``x`` and its labels.
+def _fit(family: str, points: list, x: np.ndarray, labels: Sequence[int], seed: int):
+    """Every grid point's model, fit on a fold's feature matrix ``x`` and its labels.
 
-    A kNN model keeps ``x`` itself, so its rows must already be unit rows.
-    The DNN takes ``seed`` unless ``params`` names its own.
+    The kNN "model" is ``x`` itself (unit rows) with every k, and ridge fits
+    every lambda in one call. The DNN takes ``seed`` unless a point names its own.
     """
     if family == "mnb":
-        return mnb_train(x, labels, **params)
+        return [mnb_train(x, labels, **params) for params in points]
     if family == "ridge":
         y = np.where(np.asarray(labels) == HOF, 1.0, -1.0)
-        return ridge_train(x, y, params.get("lambda", 1.0))
+        return ridge_train(x, y, [params.get("lambda", 1.0) for params in points])
     if family == "knn":
-        return x, labels, params.get("k", 5)
-    model = DnnModel(x.shape[1], DnnConfig(**{"seed": seed, **params}))
-    model.fit(x, labels)
-    return model
+        return x, labels, [params.get("k", 5) for params in points]
+    models = [DnnModel(x.shape[1], DnnConfig(**{"seed": seed, **params})) for params in points]
+    for model in models:
+        model.fit(x, labels)
+    return models
 
 
-def _predict(family: str, model, queries: np.ndarray) -> list:
-    """One class per row of ``queries``, featurized as the model's training rows were."""
+def _predict(family: str, models, queries: np.ndarray) -> list:
+    """Per grid point, one class per row of ``queries``, featurized as the training rows were."""
+    if family == "knn":
+        return _knn_votes(queries, *models)
     if family == "mnb":
-        return mnb_predict(model, queries)[0].tolist()
+        return [mnb_predict(model, queries)[0].tolist() for model in models]
     if family == "ridge":
-        return ridge_predict(model, queries).tolist()
-    if family == "knn":
-        return _knn_vote(queries, *model)
-    return model.predict(queries).tolist()
+        return [ridge_predict(model, queries).tolist() for model in models]
+    return [model.predict(queries).tolist() for model in models]
 
 
 def _fold_scores(
@@ -394,20 +395,19 @@ def _fold_scores(
 ) -> list:
     """Each grid point's macro-F1 on one fold: fit on ``train``, scored on ``test``.
 
-    The train rows and the test rows are featurized once each, and kNN scales
-    each matrix to unit rows once (a second pass can move their last bits).
-    The test rows are featurized only after every fit, so the training matrix
-    is not held beside them unless a model keeps it; both die on return.
+    Each side's rows are featurized once, and kNN scales them to unit rows once
+    (a second pass can move their last bits). Ridge forms one Gram matrix for
+    every lambda, kNN one similarity product and one sort for every k. The test
+    rows come after the fit, so no training matrix but kNN's is held beside them.
     """
     featurizer = BowFeaturizer(vocab_size, "count" if family == "mnb" else "tfidf")
     unit = _unit_rows if family == "knn" else (lambda m: m)
     x = unit(featurizer.matrix(train, fit=True))
-    labels = [ex.label for ex in train]
-    models = [_fit(family, params, x, labels, seed) for params in points]
+    models = _fit(family, points, x, [ex.label for ex in train], seed)
     del x
     queries = unit(featurizer.matrix(test))
     gold = [ex.label for ex in test]
-    return [macro_f1(_predict(family, model, queries), gold) for model in models]
+    return [macro_f1(preds, gold) for preds in _predict(family, models, queries)]
 
 
 def grid_search(

@@ -92,12 +92,18 @@ def _number(value, name: str, kind=int):
     """``kind(value)``, or a ValueError naming ``name`` if ``kind`` rejects the value.
 
     ``int`` rejects inf and NaN, ``float`` an int past the float range, and
-    both reject text that is no number.
+    both reject text that is no number. A boolean is no number here, and an
+    ``int`` setting takes no fraction, where ``int`` would drop it.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
     try:
-        return kind(value)
+        number = kind(value)
     except (OverflowError, ValueError):
         raise ValueError(f"{name} must be a finite number, got {json.dumps(value)}") from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise ValueError(f"{name} must be a whole number, got {json.dumps(value)}")
+    return number
 
 
 def _require_seed(args, config) -> int:

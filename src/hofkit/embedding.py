@@ -258,12 +258,17 @@ def _rows(fh, v: int, dim: int, words: list):
 
     Checks the columns of every row and, once the file is drained, the row
     count, so a file with no rows fails here before a parser sees it empty.
+    A row may not hold U+001C..U+001F: ``np.loadtxt`` strips them around a
+    value, where ``float()`` rejects them.
     """
     for lineno, line in enumerate(fh, start=2):
         if line.count(" ") != dim:
             raise ValueError(
                 f"expected {dim + 1} columns, got {line.count(' ') + 1}, line {lineno}"
             )
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            char = next(c for c in line if "\x1c" <= c <= "\x1f")
+            raise ValueError(f"control character U+{ord(char):04X}, line {lineno}")
         words.append(line.partition(" ")[0].rstrip("\n"))
         yield line
     if len(words) != v:

@@ -12,7 +12,7 @@ from hofkit.baselines import (
     DnnConfig,
     DnnModel,
     _fit,
-    _knn_vote,
+    _knn_votes,
     _predict,
     _unit_rows,
     expand_grid,
@@ -177,7 +177,7 @@ class TestRidge:
         # centered x, sum(x^2)=10, sum(xy)=6: w = 6/(10+lambda), b = 0
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([-1.0, -1.0, 1.0, 1.0])
-        model = ridge_train(x, y, lam=1.0)
+        (model,) = ridge_train(x, y, [1.0])
         assert model.w[0] == pytest.approx(6.0 / 11.0, abs=1e-8)
         assert model.b == pytest.approx(0.0, abs=1e-8)
         for xi, yi in zip(x, y):
@@ -188,7 +188,7 @@ class TestRidge:
         x = rng.normal(size=(20, 6))
         y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
         lam = 2.5
-        model = ridge_train(x, y, lam)
+        (model,) = ridge_train(x, y, [lam])
         xa = np.hstack([x, np.ones((20, 1))])
         penalty = np.diag([lam] * 6 + [0.0])
         w = np.concatenate([model.w, [model.b]])
@@ -202,7 +202,7 @@ class TestRidge:
         y = np.array([1.0, 1.0, -1.0, -1.0])
         norms = []
         for lam in (1e3, 1e6, 1e12):
-            model = ridge_train(x, y, lam=lam)
+            (model,) = ridge_train(x, y, [lam])
             norms.append(float(np.abs(model.w).max()))
             assert abs(model.b) < 1e-9  # balanced targets
         assert norms[0] > norms[1] > norms[2]
@@ -220,8 +220,8 @@ class TestRidge:
         rng = derived_rng(2, "ridge-dup")
         x = rng.normal(size=(10, 4))
         y = np.where(rng.random(10) < 0.5, 1.0, -1.0)
-        a = ridge_train(x, y, lam=3.0)
-        b = ridge_train(np.vstack([x, x]), np.concatenate([y, y]), lam=6.0)
+        (a,) = ridge_train(x, y, [3.0])
+        (b,) = ridge_train(np.vstack([x, x]), np.concatenate([y, y]), [6.0])
         assert np.abs(a.w - b.w).max() < 1e-6
         assert abs(a.b - b.b) < 1e-6
 
@@ -237,7 +237,7 @@ class TestRidge:
         x = rng.integers(0, 3, size=(n, v)) * rng.uniform(1.0, 3.0, size=v)
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         lam = 10.0**log_lam
-        model = ridge_train(x, y, lam)
+        (model,) = ridge_train(x, y, [lam])
         xa = np.hstack([x, np.ones((n, 1))])
         penalty = np.diag([lam] * v + [0.0])
         want = np.linalg.solve(xa.T @ xa + penalty, xa.T @ y)
@@ -248,13 +248,40 @@ class TestRidge:
 
     def test_bad_lambda_rejected(self):
         with pytest.raises(ValueError):
-            ridge_train(np.ones((2, 1)), np.ones(2), lam=0.0)
+            ridge_train(np.ones((2, 1)), np.ones(2), [0.0])
+        with pytest.raises(ValueError):
+            ridge_train(np.ones((2, 1)), np.ones(2), [1.0, -1.0])
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 12), st.integers(1, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_lambda_path_equals_one_fit_per_lambda(self, seed, n, v):
+        # one Gram matrix serves every lambda, and each model keeps the bits
+        # of a fit on that lambda alone, duplicates and order included
+        rng = derived_rng(seed, "ridge-path")
+        x = rng.integers(0, 3, size=(n, v)) * rng.uniform(1.0, 3.0, size=v)
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        lams = [10.0, 0.1, 1.0, 0.1, 1e-3, 1e4]
+        path = ridge_train(x, y, lams)
+        assert len(path) == len(lams)
+        for lam, model in zip(lams, path):
+            (alone,) = ridge_train(x, y, [lam])
+            assert model.lam == lam
+            assert model.w.tobytes() == alone.w.tobytes() and model.b == alone.b
+
+
+def _knn_vote_oracle(queries, train, labels, k) -> list:
+    """Per query row, the vote of its own stable sort: the oracle for ``_knn_votes``."""
+    votes_for = np.where(np.asarray(labels) == 1, 1, -1)
+    return [
+        1 if votes_for[np.argsort(-row, kind="stable")[:k]].sum() >= 0 else 0
+        for row in queries @ train.T
+    ]
 
 
 def knn_predict(q, train, labels, k) -> int:
-    """One query's vote through ``_knn_vote``, both sides unit-scaled in copies."""
+    """One query's vote through ``_knn_votes``, both sides unit-scaled in copies."""
     unit_q = _unit_rows(np.array(q, dtype=np.float64, ndmin=2))
-    return _knn_vote(unit_q, _unit_rows(np.array(train, dtype=np.float64)), labels, k)[0]
+    return _knn_votes(unit_q, _unit_rows(np.array(train, dtype=np.float64)), labels, [k])[0][0]
 
 
 class TestKnn:
@@ -317,6 +344,30 @@ class TestKnn:
         assert knn_predict(q, x, labels, 3) == knn_predict(q * scale, x * scale, labels, 3)
 
 
+class TestKnnVotes:
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 12),  # train rows
+        st.integers(0, 8),  # query rows
+        st.lists(st.integers(1, 40), min_size=1, max_size=6),  # duplicates and k > N occur
+    )
+    @example(seed=0, n=5, m=3, ks=[40, 1, 40])
+    @settings(max_examples=150, deadline=None)
+    def test_every_k_matches_a_sort_per_row(self, seed, n, m, ks):
+        # 0/1 rows over 4 columns: duplicate rows, zero rows and exact
+        # similarity ties between distinct rows are all common
+        rng = derived_rng(seed, "knn-votes")
+        train = _unit_rows(rng.integers(0, 2, size=(n, 4)).astype(np.float64))
+        queries = _unit_rows(rng.integers(0, 2, size=(m, 4)).astype(np.float64))
+        labels = [int(b) for b in rng.integers(0, 2, n)]
+        got = _knn_votes(queries, train, labels, ks)
+        assert got == [_knn_vote_oracle(queries, train, labels, k) for k in ks]
+
+    def test_k_past_the_int64_range_votes_over_every_row(self):
+        train = np.eye(3)
+        assert _knn_votes(train, train, [1, 0, 0], [10**30, 3]) == [[0, 0, 0], [0, 0, 0]]
+
+
 def _brute_force_knn(query, train, labels, k, tol=1e-9):
     """Per-query cosine top-k with every train norm recomputed: the kNN oracle.
 
@@ -344,11 +395,11 @@ def _knn_model(train, vocab, k):
     """A featurizer fit on ``train`` and the kNN model grid search fits on its unit rows."""
     featurizer = BowFeaturizer(vocab, "tfidf")
     x = _unit_rows(featurizer.matrix(train, fit=True))
-    return featurizer, _fit("knn", {"k": k}, x, [ex.label for ex in train], 0)
+    return featurizer, _fit("knn", [{"k": k}], x, [ex.label for ex in train], 0)
 
 
 def _knn_classes(featurizer, model, queries) -> list:
-    return _predict("knn", model, _unit_rows(featurizer.matrix(queries)))
+    return _predict("knn", model, _unit_rows(featurizer.matrix(queries)))[0]
 
 
 class TestKnnBatched:
@@ -404,23 +455,24 @@ class TestKnnBatched:
 
     def test_fit_stores_unit_rows(self, monkeypatch):
         # grid search scales each fold's train and test matrix to unit rows
-        # once, before any vote, however many grid points share them
+        # once, before the fold's one vote, which serves every grid point
         scaled, voted = [], []
 
         def unit_rows(x):
             scaled.append(x.shape[0])
             return _unit_rows(x)
 
-        def vote(queries, train, labels, k):
-            voted.append((queries, train))
-            return _knn_vote(queries, train, labels, k)
+        def votes(queries, train, labels, ks):
+            voted.append((queries, train, ks))
+            return _knn_votes(queries, train, labels, ks)
 
         monkeypatch.setattr(baselines, "_unit_rows", unit_rows)
-        monkeypatch.setattr(baselines, "_knn_vote", vote)
+        monkeypatch.setattr(baselines, "_knn_votes", votes)
         examples = [EncodedExample((2, 2, 3), 1), EncodedExample((), 0)] * 6
         grid_search("knn", {"k": [1, 2, 3, 5]}, examples, 6, folds=3)
-        assert scaled == [8, 4] * 3 and len(voted) == 4 * 3
-        for queries, train in voted:
+        assert scaled == [8, 4] * 3 and len(voted) == 3
+        for queries, train, ks in voted:
+            assert ks == [1, 2, 3, 5]
             for m in (queries, train):
                 norms = np.linalg.norm(m, axis=1)
                 assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
@@ -499,7 +551,7 @@ class TestMatrixPredict:
 
         featurizer = BowFeaturizer(vocab, "tfidf").fit(train)
         y = np.array([1.0 if ex.label == 1 else -1.0 for ex in train])
-        ridge = ridge_train(featurizer.matrix(train), y, lam=float(rng.uniform(0.1, 5.0)))
+        (ridge,) = ridge_train(featurizer.matrix(train), y, [float(rng.uniform(0.1, 5.0))])
         x = featurizer.matrix(queries)
         labels = ridge_predict(ridge, x)
         assert labels.shape == (len(queries),)
@@ -692,16 +744,17 @@ class TestGridSearch:
             ("dnn", {"epochs": 30, "lr": 0.04, "seed": 1}),
         ]:
             x, labels = self._matrix(family, 40)
-            model = _fit(family, params, x, labels, 0)
-            preds = _predict(family, model, x)
-            assert len(preds) == 40 and set(preds) <= {0, 1}
-            assert _predict(family, model, x[:0]) == []
+            models = _fit(family, [params, params], x, labels, 0)
+            preds, again = _predict(family, models, x)
+            assert len(preds) == 40 and set(preds) <= {0, 1} and again == preds
+            assert _predict(family, models, x[:0]) == [[], []]
 
     def test_dnn_takes_the_run_seed_unless_the_grid_names_one(self):
         x, labels = self._matrix("dnn", 20)
 
         def fitted(params, seed):
-            return _fit("dnn", params, x, labels, seed).params
+            (model,) = _fit("dnn", [params], x, labels, seed)
+            return model.params
 
         one, two = fitted({"epochs": 2}, 1), fitted({"epochs": 2}, 2)
         assert any(not np.array_equal(one[k], two[k]) for k in one)
@@ -742,9 +795,10 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("family, grid", GRIDS.items(), ids=list(GRIDS))
     def test_every_fit_precedes_the_test_rows(self, monkeypatch, family, grid):
-        # the test rows are featurized after every fit of their fold, and by
-        # then the fold's training matrix is freed unless a kNN model keeps
-        # it; no matrix of an earlier fold outlives its fold
+        # the test rows are featurized after the fold's one fit, which serves
+        # every grid point, and by then the fold's training matrix is freed
+        # unless the kNN model keeps it; no matrix of an earlier fold outlives
+        # its fold
         events, alive, refs = [], [], []
         matrix, fit_model = BowFeaturizer.matrix, baselines._fit
 
@@ -762,7 +816,7 @@ class TestGridSearch:
         monkeypatch.setattr(BowFeaturizer, "matrix", recording_matrix)
         monkeypatch.setattr(baselines, "_fit", recording_fit)
         grid_search(family, grid, self._examples(), 12, folds=3)
-        assert events == (["train"] + ["fit"] * 4 + ["test"]) * 3
+        assert events == ["train", "fit", "test"] * 3
         keeps_x = family == "knn"
         assert alive == [[], [keeps_x], [False, False], [False, False, keeps_x],
                          [False] * 4, [False] * 4 + [keeps_x]]
@@ -784,9 +838,11 @@ def _grid_rows_oracle(family, points, examples, vocab_size, folds, seed) -> list
                 preds = mnb_predict(mnb_train(x, labels, params.get("alpha", 1.0)), queries)[0]
             elif family == "ridge":
                 y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
-                preds = ridge_predict(ridge_train(x, y, params.get("lambda", 1.0)), queries)
+                (model,) = ridge_train(x, y, [params.get("lambda", 1.0)])
+                preds = ridge_predict(model, queries)
             elif family == "knn":
-                preds = _knn_vote(_unit_rows(queries), _unit_rows(x), labels, params.get("k", 5))
+                preds = _knn_vote_oracle(_unit_rows(queries), _unit_rows(x), labels,
+                                         params.get("k", 5))
             else:
                 cfg = DnnConfig(
                     lr=params.get("lr", 0.04),

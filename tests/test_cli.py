@@ -432,6 +432,42 @@ class TestConfigValidation:
     )
     def test_number_no_conversion_takes_is_one_error_line(self, tmp_path, capsys, command, text,
                                                            key, shown):
+        rc, out = self._run_with_config(tmp_path, command, text)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {key} must be a finite number, got {shown}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("embed-train", '{"embedding": {"dim": true}}', "embedding.dim must be a number, got true"),
+            ("train", '{"train": {"epochs": 2.9}}', "train.epochs must be a whole number, got 2.9"),
+            ("train", '{"train": {"lr": false}}', "train.lr must be a number, got false"),
+            ("train", '{"model": {"filter_counts": [2, true, 4]}}',
+             "model.filter_counts must be a number, got true"),
+            ("train", '{"val_fraction": true}', "val_fraction must be a number, got true"),
+            ("train-unseeded", '{"seed": 1.5}', "seed must be a whole number, got 1.5"),
+            ("cv", '{"folds": false}', "folds must be a number, got false"),
+        ],
+        ids=["bool-dim", "fraction-epochs", "bool-lr", "bool-filter-count", "bool-val-fraction",
+             "fraction-seed", "bool-folds"],
+    )
+    def test_boolean_or_fraction_for_a_number_is_one_error_line(self, tmp_path, capsys, command,
+                                                                text, message):
+        rc, out = self._run_with_config(tmp_path, command, text)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_whole_float_for_a_count_is_accepted(self, tmp_path):
+        config = {"model": {"filter_counts": [2, 2, 4], "dense_units": 4.0, "m_max": 8},
+                  "train": {"epochs": 1.0}}
+        rc, _ = self._train_with_config(tmp_path, config)
+        assert rc == 0
+
+    @staticmethod
+    def _run_with_config(tmp_path, command, text):
+        """Exit code and output path of ``command`` under the config file ``text``."""
         data = make_labelled_tsv(tmp_path / "train.tsv")
         vectors = tmp_path / "vectors.txt"
         vectors.write_text("2 2\naccha 0.1 0.2\nbura 0.3 0.4\n", encoding="utf-8")
@@ -446,11 +482,7 @@ class TestConfigValidation:
             "embed-train": ["embed-train", str(data), "--out", str(out), "--seed", "1"],
         }
         argv["train-unseeded"] = argv["train"][:-2]
-        rc = cli.main(argv[command] + ["--config", str(path)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err == f"error: {key} must be a finite number, got {shown}\n"
-        assert not out.exists()
+        return cli.main(argv[command] + ["--config", str(path)]), out
 
 
 class TestEvalAndPredictCmds:
@@ -729,6 +761,28 @@ class TestGarbledVectorsFile:
             self._assert_one_outcome(rc, err, out)
             if matrix is None:
                 assert rc == 1
+
+    @pytest.mark.parametrize("char", [b"\x1c", b"\x1d", b"\x1e", b"\x1f"])
+    def test_separator_over_a_sign_is_one_error_line(self, tmp_path, char):
+        # np.loadtxt strips U+001C..U+001F around a value and float() does
+        # not: 0x1C over a minus sign once loaded "\x1c0.0768..." as +0.0768
+        tsv, vectors, ckpt, config = self._workspace(tmp_path)
+        raw = vectors.read_bytes()
+        pos = raw.index(b" -") + 1
+        lineno = raw[:pos].count(b"\n") + 1
+        vectors.write_bytes(raw[:pos] + char + raw[pos + 1:])
+        needle = f"control character U+{ord(char):04X}, line {lineno}"
+        for reader in (embedding.load_words, embedding.load_text):
+            with pytest.raises(ValueError, match=re.escape(needle)):
+                reader(vectors)
+        for argv, out in [
+            (["predict", str(ckpt), str(tsv), "--embeddings", str(vectors)], "preds.tsv"),
+            (["train", "--config", str(config), "--data", str(tsv), "--embeddings", str(vectors),
+              "--seed", "1"], "trained.ckpt"),
+        ]:
+            rc, err = _run_quietly(argv + ["--out", str(tmp_path / out)])
+            assert rc == 1 and needle in err
+            self._assert_one_outcome(rc, err, tmp_path / out)
 
     def test_predict_does_not_parse_the_values(self, tmp_path):
         tsv, vectors, ckpt, config = self._workspace(tmp_path)
