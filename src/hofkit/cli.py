@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import baselines, cnn, corpus, embedding
 from .fileio import atomic_open
@@ -28,80 +28,94 @@ from .preprocess import load_suffix_table
 from .seeding import derived_seeds
 
 
-# Config keys the commands read as numbers, per section ("" is the top level).
-_NUMERIC_KEYS = {
-    "": ("seed", "val_fraction", "folds"),
-    "model": ("embed_dim", "filter_counts", "dense_units", "m_max"),
-    "dropout": ("input", "bank3", "bank4", "bank5", "dense"),
-    "train": ("epochs", "batch_size", "lr", "beta1", "beta2", "eps", "patience"),
-    "embedding": ("dim", "window", "min_count", "epochs", "negatives", "initial_lr"),
+# Config sections and the dataclass each one sets; a key's kind is the type of
+# its field's default. ``model.dropout`` is the dropout section and
+# ``train.seed`` follows the run's seed, so neither is a key of the file.
+_SECTIONS = {
+    "model": cnn.CnnConfig,
+    "dropout": cnn.DropoutSpec,
+    "train": cnn.TrainConfig,
+    "embedding": embedding.EmbeddingConfig,
 }
-
-# Top-level config keys that are not numbers: the file paths and one switch.
-_TYPED_KEYS = {
+_KINDS = {
+    section: {f.name: type(f.default) for f in fields(cls) if f.name not in ("dropout", "seed")}
+    for section, cls in _SECTIONS.items()
+}
+# The kind of each top-level key; a section's kind is ``dict``.
+_TOP_LEVEL = {
+    "seed": int, "val_fraction": float, "folds": int, "stratify": bool,
     **dict.fromkeys(("data", "embeddings", "checkpoint", "history", "suffixes"), str),
-    "stratify": bool,
+    **dict.fromkeys(_SECTIONS, dict),
 }
-_TYPE_NAMES = {str: "a string", bool: "true or false"}
+# The JSON values each kind takes, and how a message names them.
+_JSON_KINDS = {
+    str: (str, "a string"),
+    bool: (bool, "true or false"),
+    tuple: (list, "a list of numbers"),
+    **dict.fromkeys((int, float), ((int, float), "a number")),
+}
 
 
 def _load_config(path) -> dict:
-    """Read a JSON config: an object whose sections are objects of numbers.
+    """Read a JSON config, converting each value to the kind of its key.
 
-    ``model.filter_counts`` holds a list of numbers. The file paths at the
-    top level are strings and ``stratify`` is a boolean.
+    The top level holds the keys of ``_TOP_LEVEL``; each section holds fields
+    of its dataclass in ``_SECTIONS``. Every key and value is checked here,
+    whichever command runs: an unknown section or key is rejected, a number
+    must be a JSON number (never a string or a boolean), a whole number takes
+    no fraction, and ``model.filter_counts`` is a list of whole numbers. The
+    result holds every section, empty where the file has none. The
+    dataclasses give the defaults and check the ranges.
     """
+    config = {section: {} for section in _SECTIONS}
     if path is None:
-        return {}
+        return config
     with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
+        values = json.load(fh)
+    if not isinstance(values, dict):
         raise ValueError(f"config {path}: top level must be a JSON object")
-    for key, kind in _TYPED_KEYS.items():
-        if key in config and not isinstance(config[key], kind):
+    return {**config, **_convert_keys(path, values, _TOP_LEVEL)}
+
+
+def _convert_keys(path, values: dict, kinds: dict, section: str = "") -> dict:
+    """``values`` with each value converted to the kind ``kinds`` gives its key."""
+    converted = {}
+    for key, value in values.items():
+        name = f"{section}.{key}" if section else key
+        if key not in kinds:
             raise ValueError(
-                f"config {path}: {key} must be {_TYPE_NAMES[kind]}, got {json.dumps(config[key])}"
+                f"config {path}: {name} is not a config key "
+                f"({section or 'the top level'} takes {', '.join(kinds)})"
             )
-    for section, keys in _NUMERIC_KEYS.items():
-        values = config.get(section, {}) if section else config
-        if not isinstance(values, dict):
-            raise ValueError(f"config {path}: section {section!r} must be a JSON object")
-        for key in keys:
-            if key not in values:
-                continue
-            value = values[key]
-            if key == "filter_counts":
-                ok = isinstance(value, list) and all(map(_is_scalar, value))
-            else:
-                ok = _is_scalar(value)
-            if not ok:
-                name = f"{section}.{key}" if section else key
-                expected = "a list of numbers" if key == "filter_counts" else "a number"
-                raise ValueError(
-                    f"config {path}: {name} must be {expected}, got {json.dumps(value)}"
-                )
-    return config
+        converted[key] = _convert(path, name, value, kinds[key])
+    return converted
 
 
-def _is_scalar(value) -> bool:
-    """Not null, list or object: ``int``/``float`` either accept it or raise ValueError."""
-    return value is not None and not isinstance(value, (list, dict))
+def _convert(path, name: str, value, kind):
+    """``value`` as ``kind``: a section, a string, a boolean, a tuple of ints or a number.
 
-
-def _number(value, name: str, kind=int):
-    """``kind(value)``, or a ValueError naming ``name`` if ``kind`` rejects the value.
-
-    ``int`` rejects inf and NaN, ``float`` an int past the float range, and
-    both reject text that is no number. A boolean is no number here, and an
-    ``int`` setting takes no fraction, where ``int`` would drop it.
+    A number is a JSON number other than a boolean. An ``int`` takes no inf,
+    NaN or fraction, where ``int`` would drop it, and a ``float`` no int past
+    the float range.
     """
-    if isinstance(value, bool):
+    if kind is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"config {path}: section {name!r} must be a JSON object")
+        return _convert_keys(path, value, _KINDS[name], name)
+    json_kind, expected = _JSON_KINDS[kind]
+    if not isinstance(value, json_kind):
+        raise ValueError(f"config {path}: {name} must be {expected}, got {json.dumps(value)}")
+    if kind in (str, bool):
+        return value
+    if kind is tuple:
+        return tuple(_convert(path, name, v, int) for v in value)
+    if isinstance(value, bool):  # isinstance took it for an int
         raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
     try:
         number = kind(value)
     except (OverflowError, ValueError):
         raise ValueError(f"{name} must be a finite number, got {json.dumps(value)}") from None
-    if kind is int and isinstance(value, float) and number != value:
+    if kind is int and number != value:
         raise ValueError(f"{name} must be a whole number, got {json.dumps(value)}")
     return number
 
@@ -110,7 +124,7 @@ def _require_seed(args, config) -> int:
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is None:
         raise ValueError("a seed is required (--seed or config key 'seed')")
-    return _number(seed, "seed")
+    return seed
 
 
 def _pick(args_value, config: dict, key: str, default):
@@ -120,10 +134,10 @@ def _pick(args_value, config: dict, key: str, default):
     return config.get(key, default)
 
 
-def _setting(config: dict, section: str, key: str, default, kind=int, flag=None):
-    """``_pick`` of a numeric setting of a config section, converted by ``_number``."""
-    value = _pick(flag, config.get(section, {}), key, default)
-    return _number(value, f"{section}.{key}", kind)
+def _flags(args, cls) -> dict:
+    """The flags of ``args`` that set a field of ``cls``, where given."""
+    given = ((f.name, getattr(args, f.name, None)) for f in fields(cls))
+    return {name: value for name, value in given if value is not None}
 
 
 def _suffix_table(args, config):
@@ -144,16 +158,8 @@ def cmd_preprocess(args) -> int:
 def cmd_embed_train(args) -> int:
     config = _load_config(args.config)
     seed = _require_seed(args, config)
-    overlay = config.get("embedding", {})
-    cfg = embedding.EmbeddingConfig(
-        dim=_setting(config, "embedding", "dim", 200, flag=args.dim),
-        window=_setting(config, "embedding", "window", 5, flag=args.window),
-        min_count=_setting(config, "embedding", "min_count", 2, flag=args.min_count),
-        epochs=_setting(config, "embedding", "epochs", 10, flag=args.epochs),
-        negatives=_setting(config, "embedding", "negatives", 5, flag=args.negatives),
-        initial_lr=_setting(config, "embedding", "initial_lr", 0.025, float, args.lr),
-        objective=str(_pick(args.objective, overlay, "objective", "cbow")),
-    )
+    flags = _flags(args, embedding.EmbeddingConfig)
+    cfg = embedding.EmbeddingConfig(**{**config["embedding"], **flags})
     streams = corpus.load_token_lines(args.corpus)
     vocab = corpus.build_vocab(streams, cfg.min_count)
     encoded = [corpus.encode(s, vocab) for s in streams]
@@ -166,37 +172,18 @@ def cmd_embed_train(args) -> int:
 
 
 def _model_config_from(config: dict, embed_dim: int) -> cnn.CnnConfig:
-    model_cfg = config.get("model", {})
-    if "embed_dim" in model_cfg and _setting(config, "model", "embed_dim", None) != embed_dim:
+    model = config["model"]
+    if model.get("embed_dim", embed_dim) != embed_dim:
         raise ValueError(
-            f"config embed_dim {model_cfg['embed_dim']} does not match the "
+            f"config embed_dim {model['embed_dim']} does not match the "
             f"embeddings file dim {embed_dim}"
         )
-    dropout = cnn.DropoutSpec(**{
-        site: _setting(config, "dropout", site, rate, float)
-        for site, rate in cnn.DropoutSpec().as_tuple_named()
-    })
-    counts = model_cfg.get("filter_counts", (256, 256, 512))
-    return cnn.CnnConfig(
-        embed_dim=embed_dim,
-        filter_counts=tuple(_number(c, "model.filter_counts") for c in counts),
-        dense_units=_setting(config, "model", "dense_units", 256),
-        m_max=_setting(config, "model", "m_max", 64),
-        dropout=dropout,
-    )
+    dropout = cnn.DropoutSpec(**config["dropout"])
+    return cnn.CnnConfig(**{"embed_dim": embed_dim, **model}, dropout=dropout)
 
 
 def _train_config_from(args, config: dict, seed: int) -> cnn.TrainConfig:
-    return cnn.TrainConfig(
-        epochs=_setting(config, "train", "epochs", 20, flag=args.epochs),
-        batch_size=_setting(config, "train", "batch_size", 32, flag=args.batch_size),
-        lr=_setting(config, "train", "lr", 1e-3, float, args.lr),
-        beta1=_setting(config, "train", "beta1", 0.9, float),
-        beta2=_setting(config, "train", "beta2", 0.999, float),
-        eps=_setting(config, "train", "eps", 1e-8, float),
-        patience=_setting(config, "train", "patience", 5, flag=args.patience),
-        seed=seed,
-    )
+    return cnn.TrainConfig(**{**config["train"], **_flags(args, cnn.TrainConfig), "seed": seed})
 
 
 def _write_history(path, history) -> None:
@@ -223,8 +210,8 @@ def cmd_train(args) -> int:
     model_cfg = _model_config_from(config, matrix.dim)
     train_cfg = _train_config_from(args, config, seed)
 
-    val_fraction = _number(config.get("val_fraction", 0.2), "val_fraction", float)
-    stratify = config.get("stratify", False)  # _load_config checked it is a boolean
+    val_fraction = config.get("val_fraction", 0.2)
+    stratify = config.get("stratify", False)
     train_ds, val_ds = corpus.split_train_val(ds, val_fraction, seed, stratify)
     train_ex = corpus.encode_dataset(train_ds, vocab)
     val_ex = corpus.encode_dataset(val_ds, vocab)
@@ -290,7 +277,7 @@ def cmd_cv(args) -> int:
     emb_path = _pick(args.embeddings, config, "embeddings", None)
     if not data_path or not emb_path:
         raise ValueError("cv needs --data and --embeddings")
-    k = _number(_pick(args.folds, config, "folds", 10), "folds")
+    k = _pick(args.folds, config, "folds", 10)
 
     ds = corpus.load_tsv(data_path, _suffix_table(args, config))
     if any(ex.label is None for ex in ds):
@@ -300,13 +287,14 @@ def cmd_cv(args) -> int:
     train_cfg = _train_config_from(args, config, seed)
     encoded = corpus.encode_dataset(ds, vocab)
 
-    val_fraction = _number(config.get("val_fraction", 0.2), "val_fraction", float)
+    val_fraction = config.get("val_fraction", 0.2)
+    stratify = config.get("stratify", False)
     scores = []
     lines = ["fold\tmacro_f1"]
     partitions = corpus.kfold(len(ds), k, seed)
     fold_seeds = derived_seeds(seed, "cv-fold", len(partitions))
     for fold_i, ((train_idx, test_idx), fold_seed) in enumerate(zip(partitions, fold_seeds)):
-        inner = corpus.split_train_val(ds.subset(train_idx), val_fraction, fold_seed)
+        inner = corpus.split_train_val(ds.subset(train_idx), val_fraction, fold_seed, stratify)
         train_ex = corpus.encode_dataset(inner[0], vocab)
         val_ex = corpus.encode_dataset(inner[1], vocab)
         model = cnn.CnnModel.init(matrix.w_in, model_cfg, fold_seed)
@@ -334,16 +322,15 @@ def cmd_baseline(args) -> int:
     ds = corpus.load_tsv(data_path, _suffix_table(args, config))
     if any(ex.label is None for ex in ds):
         raise ValueError("baseline data must be fully labelled")
-    vocab = corpus.build_vocab(ds.token_streams(), _number(args.min_count, "--min-count"))
+    vocab = corpus.build_vocab(ds.token_streams(), args.min_count)
     encoded = corpus.encode_dataset(ds, vocab)
 
     grid = baselines.DEFAULT_GRIDS[args.model]
     if args.grid:
         with open(args.grid, encoding="utf-8") as fh:
             grid = json.load(fh)
-    result = baselines.grid_search(
-        args.model, grid, encoded, len(vocab), folds=int(args.folds), seed=seed
-    )
+    folds = _pick(args.folds, config, "folds", 10)
+    result = baselines.grid_search(args.model, grid, encoded, len(vocab), folds=folds, seed=seed)
 
     k = len(result.rows[0][1])
     header = ["params"] + [f"fold_{i}" for i in range(k)] + ["mean", "best"]
@@ -392,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", type=int, dest="min_count")
     p.add_argument("--epochs", type=int)
     p.add_argument("--negatives", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", type=float, dest="initial_lr")
     p.add_argument("--objective", choices=["cbow", "skipgram"])
     p.add_argument("--seed", type=int)
     p.add_argument("--vocab-out", dest="vocab_out")
@@ -447,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=list(baselines.BASELINE_FAMILIES))
     p.add_argument("--data")
     p.add_argument("--grid", help="JSON file: parameter name -> list of values")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--min-count", dest="min_count", default=2)
+    p.add_argument("--folds", type=int)
+    p.add_argument("--min-count", type=int, dest="min_count", default=2)
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
     p.add_argument("--out")

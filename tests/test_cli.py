@@ -410,6 +410,75 @@ class TestConfigValidation:
             assert rc == 0
         assert seen == [True, False, False]
 
+    def test_stratify_reaches_each_cv_fold_split(self, tmp_path, monkeypatch):
+        seen = []
+        split = corpus.split_train_val
+
+        def recording(ds, val_fraction, seed, stratified=False):
+            seen.append(stratified)
+            return split(ds, val_fraction, seed, stratified)
+
+        monkeypatch.setattr(corpus, "split_train_val", recording)
+        monkeypatch.setattr(cnn, "train_model", lambda *args: None)  # only the splits matter
+        config = {"model": {"filter_counts": [2, 2, 4], "dense_units": 4, "m_max": 8},
+                  "folds": 3}
+        for i, stratify in enumerate([True, False, None]):
+            extra = {} if stratify is None else {"stratify": stratify}
+            (tmp_path / str(i)).mkdir()
+            rc, _ = self._run_with_config(tmp_path / str(i), "cv", json.dumps({**config, **extra}))
+            assert rc == 0
+        assert seen == [True] * 3 + [False] * 6
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("train", '{"train": {"epoch": 1}}',
+             "train.epoch is not a config key "
+             "(train takes epochs, batch_size, lr, beta1, beta2, eps, patience)"),
+            ("train", '{"modle": {}}',
+             "modle is not a config key (the top level takes seed, val_fraction, folds, stratify, "
+             "data, embeddings, checkpoint, history, suffixes, model, dropout, train, embedding)"),
+            ("train", '{"model": {"dropout": {}}}',
+             "model.dropout is not a config key (model takes embed_dim, filter_counts, "
+             "dense_units, m_max)"),
+            ("cv", '{"train": {"seed": 1}}',
+             "train.seed is not a config key "
+             "(train takes epochs, batch_size, lr, beta1, beta2, eps, patience)"),
+            ("train", '{"train": {"epochs": "3"}}', 'train.epochs must be a number, got "3"'),
+            ("train", '{"dropout": {"input": "0.3"}}', 'dropout.input must be a number, got "0.3"'),
+            ("train", '{"val_fraction": "0.3"}', 'val_fraction must be a number, got "0.3"'),
+            ("train", '{"model": {"filter_counts": [2, "2", 4]}}',
+             'model.filter_counts must be a number, got "2"'),
+            ("embed-train", '{"embedding": {"objective": 5}}',
+             "embedding.objective must be a string, got 5"),
+            ("train", '{"embedding": {"objective": 5}}',
+             "embedding.objective must be a string, got 5"),
+            ("embed-train", '{"train": {"epochs": "3"}}', 'train.epochs must be a number, got "3"'),
+        ],
+        ids=["misspelt-key", "unknown-section", "model-dropout", "train-seed", "string-epochs",
+             "string-dropout", "string-val-fraction", "string-filter-count", "number-objective",
+             "objective-unread-by-train", "epochs-unread-by-embed-train"],
+    )
+    def test_config_defect_is_one_error_line_naming_the_file(self, tmp_path, capsys, command,
+                                                              text, message):
+        rc, out = self._run_with_config(tmp_path, command, text)
+        path = tmp_path / "config.json"
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config {path}: {message}\n"
+        assert not out.exists()
+
+    def test_readme_config_loads_and_trains(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        text = re.search(r"A config is JSON.*?```json\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "readme.json"
+        path.write_text(text, encoding="utf-8")
+        config = json.loads(text)
+        # every section is present, so the loaded config is the file with lists as tuples
+        assert json.loads(json.dumps(cli._load_config(path))) == config
+        rc, _ = self._train_with_config(tmp_path, config)
+        assert rc == 0
+        assert (tmp_path / "model.ckpt").exists()
+
 
     @pytest.mark.parametrize(
         "command, text, key, shown",
@@ -968,6 +1037,28 @@ class TestBaselineCmd:
              "--min-count", "1", "--seed", "4", "--out", str(tmp_path / "t.tsv")]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize("flags, folds", [([], 3), (["--folds", "4"], 4)])
+    def test_config_folds_sets_the_fold_count_unless_flagged(self, tmp_path, flags, folds):
+        data = make_labelled_tsv(tmp_path / "train.tsv", n=30)
+        config = tmp_path / "config.json"
+        config.write_text('{"folds": 3}', encoding="utf-8")
+        out = tmp_path / "table.tsv"
+        rc = cli.main(
+            ["baseline", "--model", "mnb", "--data", str(data), "--config", str(config),
+             "--min-count", "1", "--seed", "4", "--out", str(out)] + flags
+        )
+        assert rc == 0
+        header = out.read_text(encoding="utf-8").splitlines()[0].split("\t")
+        assert header == ["params"] + [f"fold_{i}" for i in range(folds)] + ["mean", "best"]
+
+    def test_fractional_min_count_is_a_usage_error(self, tmp_path, capsys):
+        data = make_labelled_tsv(tmp_path / "train.tsv", n=30)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["baseline", "--model", "mnb", "--data", str(data), "--min-count", "2.5",
+                      "--seed", "4"])
+        assert exit_.value.code == 2
+        assert "argument --min-count: invalid int value: '2.5'" in capsys.readouterr().err
 
     def test_diverging_dnn_is_one_error_line(self, tmp_path, capsys):
         data = make_labelled_tsv(tmp_path / "train.tsv", n=30)
