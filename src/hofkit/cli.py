@@ -63,9 +63,11 @@ def _load_config(path) -> dict:
     of its dataclass in ``_SECTIONS``. Every key and value is checked here,
     whichever command runs: an unknown section or key is rejected, a number
     must be a JSON number (never a string or a boolean), a whole number takes
-    no fraction, and ``model.filter_counts`` is a list of whole numbers. The
-    result holds every section, empty where the file has none. The
-    dataclasses give the defaults and check the ranges.
+    no fraction, and ``model.filter_counts`` is a list of whole numbers. Each
+    section's dataclass is then built from the file's values alone, so its
+    range checks run too, and a flag cannot rescue a bad file value. The
+    result holds every section as converted values, empty where the file has
+    none; the dataclasses give the defaults.
     """
     config = {section: {} for section in _SECTIONS}
     if path is None:
@@ -74,7 +76,13 @@ def _load_config(path) -> dict:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise ValueError(f"config {path}: top level must be a JSON object")
-    return {**config, **_convert_keys(path, values, _TOP_LEVEL)}
+    config = {**config, **_convert_keys(path, values, _TOP_LEVEL)}
+    for section, cls in _SECTIONS.items():
+        try:
+            cls(**config[section])
+        except ValueError as exc:
+            raise ValueError(f"config {path}: {exc}") from None
+    return config
 
 
 def _convert_keys(path, values: dict, kinds: dict, section: str = "") -> dict:
@@ -217,6 +225,7 @@ def cmd_train(args) -> int:
     val_ex = corpus.encode_dataset(val_ds, vocab)
 
     model = cnn.CnnModel.init(matrix.w_in, model_cfg, seed)
+    del matrix  # the model holds its own copy of the table, in its own dtype
     history = cnn.train_model(model, train_ex, val_ex, train_cfg)
     _write_history(history_path, history)
     cnn.save_checkpoint(model, out_path, cnn.vocab_hash(vocab))
@@ -293,11 +302,13 @@ def cmd_cv(args) -> int:
     lines = ["fold\tmacro_f1"]
     partitions = corpus.kfold(len(ds), k, seed)
     fold_seeds = derived_seeds(seed, "cv-fold", len(partitions))
+    table = cnn.embedding_table(matrix.w_in)  # each fold copies this one, not the float64 table
+    del matrix
     for fold_i, ((train_idx, test_idx), fold_seed) in enumerate(zip(partitions, fold_seeds)):
         inner = corpus.split_train_val(ds.subset(train_idx), val_fraction, fold_seed, stratify)
         train_ex = corpus.encode_dataset(inner[0], vocab)
         val_ex = corpus.encode_dataset(inner[1], vocab)
-        model = cnn.CnnModel.init(matrix.w_in, model_cfg, fold_seed)
+        model = cnn.CnnModel.init(table, model_cfg, fold_seed)
         cnn.train_model(model, train_ex, val_ex, replace(train_cfg, seed=fold_seed))
         test_ex = [encoded[i] for i in test_idx]
         preds = model.predict_batch(test_ex)

@@ -7,10 +7,14 @@ concatenate -> dense ReLU layer -> single sigmoid output giving P(HOF).
 The embedding table is a trainable parameter (fine-tuned end to end); its
 pad row is pinned to zero. All gradients are hand-derived; training uses
 Adam on mean-batch binary cross-entropy. The embedding gradient is
-row-sparse (``RowSparse``: the batch's distinct ids and one block of rows),
-and Adam skips the rows that no batch has reached yet. The skip is exact: such
-a row has zero moments and zero gradient, so its Adam step is
-``lr * 0 / (0 + eps)``, exactly zero for any ``eps > 0``. Dropout is inverted
+row-sparse (``RowSparse``: the batch's distinct ids and one block of rows).
+Adam holds the embedding's moments for the rows some batch has reached so far,
+also as ``RowSparse``, and skips the other rows. The skip is exact: such a row
+has zero moments and zero gradient, so its Adam step is ``lr * 0 / (0 + eps)``,
+exactly zero for any ``eps > 0``. A step copies only the reached rows of the
+table out and back; the moments grow when a batch reaches new rows. So the
+table and the best-epoch snapshot are the only arrays of V rows that training
+holds. Dropout is inverted
 (survivors scaled by 1/keep) at four sites: input word rows, pooled features
 of each bank, and dense activations. The dense layer and the output form one
 layer stack of ``layers.py``, which also holds the dropout formula and runs
@@ -69,6 +73,7 @@ __all__ = [
     "CnnConfig",
     "TrainConfig",
     "CnnModel",
+    "embedding_table",
     "RowSparse",
     "Adam",
     "bce_loss",
@@ -260,6 +265,19 @@ def bce_loss(p, y):
     return -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
 
 
+def embedding_table(values, dtype=np.float32) -> np.ndarray:
+    """A copy of the pretrained table ``values`` in ``dtype``, with the pad row zeroed.
+
+    Raises ValueError if a value is not finite or does not fit in ``dtype``.
+    """
+    with np.errstate(over="ignore"):  # a value out of dtype range becomes inf, caught below
+        table = np.array(values, dtype=dtype)
+    table[PAD_ID] = 0.0
+    if not np.isfinite(table).all():
+        raise ValueError(f"embedding values must be finite and fit in {np.dtype(dtype).name}")
+    return table
+
+
 def _first_argmax(bank: dict) -> np.ndarray:
     """Per tweet and filter, the least window whose ReLU value equals the pooled max.
 
@@ -300,13 +318,7 @@ class CnnModel:
     ) -> "CnnModel":
         """Glorot-uniform weights, zero biases; embedding copied with pad row zeroed."""
         rng = derived_rng(seed, "cnn-init")
-        with np.errstate(over="ignore"):  # a value out of dtype range becomes inf, caught below
-            params = {"emb": np.array(embedding, dtype=dtype)}
-        params["emb"][PAD_ID] = 0.0
-        if not np.isfinite(params["emb"]).all():
-            raise ValueError(
-                f"embedding values must be finite and fit in {np.dtype(dtype).name}"
-            )
+        params = {"emb": embedding_table(embedding, dtype)}
         for key, shape in list(_param_shapes(cfg, len(embedding)).items())[1:]:  # all but emb
             if key.endswith("_b"):
                 params[key] = np.zeros(shape, dtype=dtype)
@@ -526,15 +538,22 @@ class CnnModel:
 
 @dataclass(frozen=True, eq=False)
 class RowSparse:
-    """A gradient that is zero outside a few rows of a (rows x ...) parameter.
+    """An array that is zero outside a few rows of a (rows x ...) shape.
 
-    ``rows`` holds sorted distinct row ids and ``values`` their gradient rows,
-    in the same order. ``np.asarray`` scatters it into the dense array.
+    ``rows`` holds sorted distinct row ids and ``values`` their rows, in the
+    same order. ``np.asarray`` scatters it into the dense array. The embedding
+    gradient takes this form, and so do ``Adam``'s moments of the embedding.
     """
 
     rows: np.ndarray
     values: np.ndarray
     shape: tuple
+
+    @classmethod
+    def zeros_like(cls, x: np.ndarray) -> "RowSparse":
+        """All zeros in the shape and dtype of ``x``: no rows."""
+        return cls(np.zeros(0, dtype=np.intp), np.zeros((0,) + x.shape[1:], dtype=x.dtype),
+                   x.shape)
 
     def __array__(self, dtype=None, copy=None):
         dense = np.zeros(self.shape, dtype=self.values.dtype if dtype is None else dtype)
@@ -545,35 +564,66 @@ class RowSparse:
 class Adam:
     """Adam optimizer over the model's parameter dict; updates in place.
 
-    A ``RowSparse`` gradient updates only the rows that some gradient of that
-    parameter has reached so far, every step, whether or not this step's
-    gradient holds them. This gives the same bytes as the dense step: an
-    unreached row has m = v = 0 and g = 0, so its step is 0 / (0 + eps) = 0.
+    Every moment starts as a ``RowSparse`` with no rows. While a parameter's
+    gradients are ``RowSparse``, its moments hold only the rows that some
+    gradient of it has reached so far. A step that reaches new rows grows them
+    (the union of the rows, the old values scattered into zeros). Each step
+    updates every reached row, whether or not its gradient holds the row: it
+    copies the parameter's rows out and back and updates the moments where
+    they lie. A dense gradient makes the moments dense for good, and a later
+    ``RowSparse`` gradient is then scattered dense. Either way the bytes are
+    the dense step's: an unreached row has m = v = 0 and g = 0, so its step is
+    0 / (0 + eps) = 0; and ``np.asarray`` of compact moments gives the dense
+    ones.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.reached = {}  # parameter -> per-row flags: has a gradient reached the row?
+        self.m = {k: RowSparse.zeros_like(v) for k, v in params.items()}
+        self.v = {k: RowSparse.zeros_like(v) for k, v in params.items()}
+
+    @property
+    def reached(self) -> dict:
+        """Per parameter with compact moments, per-row flags: has a gradient reached the row?"""
+        flags = {}
+        for k, m in self.m.items():
+            if isinstance(m, RowSparse):
+                flags[k] = np.zeros(m.shape[0], dtype=bool)
+                flags[k][m.rows] = True
+        return flags
 
     def step(self, grads):
         self.t += 1
         for k in PARAM_ORDER:
-            g = grads[k]
-            if not isinstance(g, RowSparse):
-                self._update(self.params[k], g, self.m[k], self.v[k])
+            g, m, v = grads[k], self.m[k], self.v[k]
+            if not (isinstance(g, RowSparse) and isinstance(m, RowSparse)):
+                if isinstance(m, RowSparse):
+                    m, v = self.m[k], self.v[k] = np.asarray(m), np.asarray(v)
+                self._update(self.params[k], np.asarray(g), m, v)
                 continue
-            reached = self.reached.setdefault(k, np.zeros(g.shape[0], dtype=bool))
-            reached[g.rows] = True
-            rows = np.flatnonzero(reached)
-            g_rows = np.zeros((len(rows),) + g.values.shape[1:], dtype=g.values.dtype)
-            g_rows[np.searchsorted(rows, g.rows)] = g.values
-            param, m, v = self.params[k][rows], self.m[k][rows], self.v[k][rows]
-            self._update(param, g_rows, m, v)
-            self.params[k][rows], self.m[k][rows], self.v[k][rows] = param, m, v
+            m, v = self._reach(k, g.rows)
+            g_rows = np.zeros((len(m.rows),) + g.values.shape[1:], dtype=g.values.dtype)
+            g_rows[np.searchsorted(m.rows, g.rows)] = g.values
+            param = self.params[k][m.rows]
+            self._update(param, g_rows, m.values, v.values)
+            self.params[k][m.rows] = param
+
+    def _reach(self, k, rows) -> tuple:
+        """The compact moments of ``k``, grown to hold ``rows`` where they do not yet."""
+        m, v = self.m[k], self.v[k]
+        both = np.sort(np.concatenate([m.rows, rows]))  # not np.union1d: it imports numpy.ma
+        union = both[np.concatenate(([True], both[1:] != both[:-1]))]
+        if len(union) > len(m.rows):
+            at = np.searchsorted(union, m.rows)
+            grown = []
+            for moment in (m, v):
+                values = np.zeros((len(union),) + moment.shape[1:], dtype=moment.values.dtype)
+                values[at] = moment.values
+                grown.append(RowSparse(union, values, moment.shape))
+            m, v = self.m[k], self.v[k] = grown
+        return m, v
 
     def _update(self, param, g, m, v):
         """One Adam step of ``param``, ``m`` and ``v``, in place, at step ``self.t``."""
@@ -637,7 +687,8 @@ def train_model(
 
         if val_f1 > best_f1:
             best_f1 = val_f1
-            best_params = model.copy_params()
+            for key in PARAM_ORDER:  # in place: a fresh copy would live beside the old one
+                best_params[key][...] = model.params[key]
             since_improve = 0
         else:
             since_improve += 1

@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -181,7 +182,9 @@ class TestEmbedTrainCmd:
              str(config), "--min-count", "1", "--seed", "1"]
         )
         assert rc == 1
-        assert capsys.readouterr().err == "error: initial_lr must be positive and finite, got nan\n"
+        assert capsys.readouterr().err == (
+            f"error: config {config}: initial_lr must be positive and finite, got nan\n"
+        )
 
     def test_seed_required(self, tmp_path, capsys):
         tokens = tmp_path / "c.txt"
@@ -467,6 +470,29 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"error: config {path}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, text, flags, message",
+        [
+            ("train", '{"embedding": {"objective": "skipgrm"}}', [], "unknown objective 'skipgrm'"),
+            ("embed-train", '{"train": {"lr": 0}}', [], "lr must be positive and finite, got 0.0"),
+            ("train", '{"train": {"lr": 0}}', ["--lr", "0.01"],
+             "lr must be positive and finite, got 0.0"),
+            ("cv", '{"dropout": {"dense": 1}}', [], "dropout rate dense=1.0 outside [0, 1)"),
+            ("embed-train", '{"model": {"filter_counts": [2, 2, 2]}}', [],
+             "filter counts must keep the 1:1:2 ratio, got (2, 2, 2)"),
+        ],
+        ids=["objective-unread-by-train", "lr-unread-by-embed-train", "flag-over-bad-lr",
+             "dropout-rate-under-cv", "filter-ratio-unread-by-embed-train"],
+    )
+    def test_out_of_range_value_is_one_error_line_whichever_command_runs(
+        self, tmp_path, capsys, command, text, flags, message
+    ):
+        rc, out = self._run_with_config(tmp_path, command, text, flags)
+        path = tmp_path / "config.json"
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config {path}: {message}\n"
+        assert not out.exists()
+
     def test_readme_config_loads_and_trains(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         text = re.search(r"A config is JSON.*?```json\n(.*?)```", readme, re.S).group(1)
@@ -535,7 +561,7 @@ class TestConfigValidation:
         assert rc == 0
 
     @staticmethod
-    def _run_with_config(tmp_path, command, text):
+    def _run_with_config(tmp_path, command, text, flags=()):
         """Exit code and output path of ``command`` under the config file ``text``."""
         data = make_labelled_tsv(tmp_path / "train.tsv")
         vectors = tmp_path / "vectors.txt"
@@ -551,7 +577,31 @@ class TestConfigValidation:
             "embed-train": ["embed-train", str(data), "--out", str(out), "--seed", "1"],
         }
         argv["train-unseeded"] = argv["train"][:-2]
-        return cli.main(argv[command] + ["--config", str(path)]), out
+        return cli.main(argv[command] + ["--config", str(path), *flags]), out
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_float64_table_is_released_before_training(tmp_path, monkeypatch, command):
+    tables, trained = [], []
+    load_text, train_model = embedding.load_text, cnn.train_model
+
+    def loading(path):
+        matrix, vocab = load_text(path)
+        tables.append(weakref.ref(matrix.w_in))
+        return matrix, vocab
+
+    def training(*args):
+        assert len(tables) == 1 and tables[0]() is None, "the float64 table outlives its cast"
+        trained.append(args[0].params["emb"].dtype)
+        return train_model(*args)
+
+    monkeypatch.setattr(embedding, "load_text", loading)
+    monkeypatch.setattr(cnn, "train_model", training)
+    config = {"model": {"filter_counts": [2, 2, 4], "dense_units": 4, "m_max": 8},
+              "train": {"epochs": 1}, "folds": 3}
+    rc, out = TestConfigValidation._run_with_config(tmp_path, command, json.dumps(config))
+    assert rc == 0 and out.exists()
+    assert trained == [np.float32] * (1 if command == "train" else 3)
 
 
 class TestEvalAndPredictCmds:

@@ -504,6 +504,30 @@ def test_inference_peak_memory_is_one_filter_slice_of_the_block_ids():
     assert peak < bound, (peak, bound)
 
 
+def test_training_peak_memory_is_one_snapshot_and_the_reached_rows():
+    # a 40 000-row table that training reaches in fewer than 100 rows; the
+    # parameters exist before tracing starts, so the bound is the best-epoch
+    # snapshot, a few arrays of the reached rows and fixed slack. Dense Adam
+    # moments (two more tables) or a second snapshot fail it
+    rng = derived_rng(22, "cnn-test-train-memory")
+    cfg = CnnConfig(embed_dim=16, filter_counts=(4, 4, 8), dense_units=8, m_max=16)
+    model = CnnModel.init(rng.normal(0, 0.1, size=(40_000, cfg.embed_dim)), cfg)
+    words = rng.choice(np.arange(2, 40_000), size=90, replace=False)
+    train = [EncodedExample(tuple(int(x) for x in rng.choice(words, size=int(n))), i % 2)
+             for i, n in enumerate(rng.integers(3, 12, size=24))]
+    reached = len({i for ex in train for i in ex.ids})
+    assert reached < 100
+    snapshot = sum(v.nbytes for v in model.params.values())
+    bound = snapshot + 16 * reached * cfg.embed_dim * model.dtype.itemsize + 256 * 1024
+    tracemalloc.start()
+    try:
+        train_model(model, train, train[:8], TrainConfig(epochs=3, batch_size=8, seed=22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
 # ragged padded lengths: a tweet truncated at m_max = 7, tweets shorter than
 # M_MIN, an all-pad tweet and one of exactly M_MIN ids
 MASK_ID_LISTS = [(3, 1, 4, 1, 5, 8), tuple(range(1, 9)) * 2, (2, 7), (), (5,) * 7, (1, 2, 3, 4, 5)]
@@ -870,3 +894,48 @@ class TestAdam:
             grads["out_b"] = 2.0 * params["out_b"]  # d/dx of x^2
             opt.step(grads)
         assert abs(params["out_b"][0]) < 1e-2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_follows_a_change_of_gradient_form_bitwise(dtype):
+    # emb: RowSparse gradients for 40 steps, dense for 20, RowSparse again;
+    # conv3_w: dense for 30 steps, then RowSparse; the rest dense throughout
+    rng = derived_rng(2, f"adam-forms-{np.dtype(dtype).name}")
+    vocab, n = 10, 3
+    params = {k: rng.normal(size=(4, n)).astype(dtype) for k in cnn.PARAM_ORDER}
+    params["emb"] = rng.normal(size=(vocab, n)).astype(dtype)
+    params["emb"][9, 1] = -0.0  # no gradient ever holds row 9, or row 3 of conv3_w
+    params["conv3_w"][3, 2] = -0.0
+
+    def gradient(shape, rows, dense):
+        # magnitudes from 1e-6 to 1e3 with exact 0.0 and -0.0 among them
+        signs = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(len(rows),) + shape[1:])
+        values = (signs * 10.0 ** rng.uniform(-6, 3, size=signs.shape)).astype(dtype)
+        g = cnn.RowSparse(np.array(rows, dtype=np.int64), values, shape)
+        return np.asarray(g) if dense else g
+
+    grads_seq = []
+    for t in range(100):
+        grads = {k: gradient((4, n), range(4), True) for k in cnn.PARAM_ORDER}
+        some = [r for r in range(1, 9) if rng.random() < 0.4]
+        grads["emb"] = gradient((vocab, n), some, 40 <= t < 60)
+        grads["conv3_w"] = gradient((4, n), [r for r in range(3) if rng.random() < 0.5], t < 30)
+        grads_seq.append(grads)
+
+    for steps, compact in [(40, True), (60, False), (100, False)]:
+        expected = {k: v.copy() for k, v in params.items()}
+        m, v = adam_textbook(
+            expected, [{k: np.asarray(g) for k, g in grads.items()} for grads in grads_seq[:steps]]
+        )
+        got = {k: v.copy() for k, v in params.items()}
+        opt = Adam(got)
+        for grads in grads_seq[:steps]:
+            opt.step(grads)
+        assert isinstance(opt.m["emb"], cnn.RowSparse) == compact
+        assert isinstance(opt.m["conv3_w"], cnn.RowSparse) == (steps <= 30)
+        for k in cnn.PARAM_ORDER:
+            assert got[k].tobytes() == expected[k].tobytes(), (steps, k)
+            assert np.asarray(opt.m[k]).tobytes() == m[k].tobytes(), (steps, k)
+            assert np.asarray(opt.v[k]).tobytes() == v[k].tobytes(), (steps, k)
+        assert got["emb"][9].tobytes() == params["emb"][9].tobytes()
+        assert got["conv3_w"][3].tobytes() == params["conv3_w"][3].tobytes()
