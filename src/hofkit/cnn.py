@@ -12,8 +12,9 @@ Adam holds the embedding's moments for the rows some batch has reached so far,
 also as ``RowSparse``, and skips the other rows. The skip is exact: such a row
 has zero moments and zero gradient, so its Adam step is ``lr * 0 / (0 + eps)``,
 exactly zero for any ``eps > 0``. A step copies only the reached rows of the
-table out and back; the moments grow when a batch reaches new rows. So the
-table and the best-epoch snapshot are the only arrays of V rows that training
+table out and back; the moments grow when a batch reaches new rows. The
+best-epoch snapshot, too, keeps only the reached rows of the table (see
+``train_model``), so the table is the only array of V rows that training
 holds. Dropout is inverted
 (survivors scaled by 1/keep) at four sites: input word rows, pooled features
 of each bank, and dense activations. The dense layer and the output form one
@@ -51,6 +52,7 @@ mutates the model and is safe to run concurrently; training is single-writer.
 from __future__ import annotations
 
 import hashlib
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -334,10 +336,6 @@ class CnnModel:
     def copy_params(self) -> dict:
         return {k: v.copy() for k, v in self.params.items()}
 
-    def set_params(self, params: dict) -> None:
-        for k in PARAM_ORDER:
-            self.params[k][...] = params[k]
-
     # -- dropout masks -----------------------------------------------------
 
     def make_masks(self, lengths: Sequence[int], rng: np.random.Generator) -> tuple:
@@ -504,7 +502,7 @@ class CnnModel:
         # dz is non-zero only at each (tweet, filter) argmax window; scatter it,
         # times the input mask, onto the projection of every id the window reads
         u, inv, input_mask = saved["u"], saved["inv"], saved["input_mask"]
-        d_proj = np.zeros((len(u), len(saved["conv_w"])), dtype=self.dtype)
+        width = len(saved["conv_w"])
         targets, values = [], []
         offset = col = 0
         for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
@@ -517,22 +515,28 @@ class CnnModel:
             grads[f"conv{h}_b"] = dz.sum(axis=0)
             start = rows[arg]
             for j in range(h):
-                targets.append(inv[start + j] * d_proj.shape[1] + col + cols)
+                targets.append(inv[start + j] * width + col + cols)
                 values.append(dz if input_mask is None else dz * input_mask[start + j])
                 col += count
-        np.add.at(d_proj.reshape(-1), np.concatenate(targets, axis=None),
-                  np.concatenate(values, axis=None))
+        # d_proj, conv_w and the scatter's operands are the step's largest arrays:
+        # each is allocated as late and dropped as early as its products allow
+        targets = np.concatenate(targets, axis=None)
+        values = np.concatenate(values, axis=None)
+        d_proj = np.zeros((len(u), width), dtype=self.dtype)
+        np.add.at(d_proj.reshape(-1), targets, values)
+        del targets, values
 
+        d_emb = d_proj @ saved.pop("conv_w")
+        d_emb[u == PAD_ID] = 0.0
+        grads["emb"] = RowSparse(u, d_emb, p["emb"].shape)
         n = cfg.embed_dim
         d_conv_w = d_proj.T @ saved["emb_u"]  # laid out as _conv_weights
+        del d_proj
         row = 0
         for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
             block = d_conv_w[row : row + h * count]
             grads[f"conv{h}_w"] = block.reshape(h, count, n).transpose(1, 0, 2).reshape(count, -1)
             row += h * count
-        d_emb = d_proj @ saved["conv_w"]
-        d_emb[u == PAD_ID] = 0.0
-        grads["emb"] = RowSparse(u, d_emb, p["emb"].shape)
         return loss, grads
 
 
@@ -654,6 +658,15 @@ def train_model(
     consecutive epochs without improvement reaches ``patience`` (so
     patience=0 runs exactly one epoch). Returns history rows
     ``(epoch, train_loss, val_macro_f1)``.
+
+    The best-epoch snapshot holds full copies of the parameters other than
+    the embedding, and of the embedding only the rows some gradient has
+    reached. A row that no gradient has reached still holds its initial
+    value. A row first reached after the snapshot is logged with its value
+    before its first Adam step, which is its value at the snapshot. The log
+    is cleared at each snapshot, so the snapshot and the log never hold a row
+    twice and together hold at most one table. The restore writes the log
+    back, then the snapshot; the restored bytes are those of a full copy.
     """
     if not train_ex:
         raise ValueError("training set is empty")
@@ -668,33 +681,54 @@ def train_model(
     dropout_rng = derived_rng(cfg.seed, "cnn-dropout")
     adam = Adam(model.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
 
+    emb = model.params["emb"]
+    reached = np.zeros(len(emb), dtype=bool)  # rows some gradient has reached
+    log = []  # (rows, values before their first step) of rows first reached since the snapshot
+
     def loss_grads(idx):
         batch = [train_ex[int(i)] for i in idx]
         lengths = [_padded_length(len(ex.ids), model.cfg.m_max) for ex in batch]
         return model.batch_loss_grads(batch, model.make_masks(lengths, dropout_rng))
 
+    def step(grads):
+        g = grads["emb"]
+        rows = g.rows if isinstance(g, RowSparse) else np.arange(len(emb))
+        first = rows[~reached[rows]]
+        if len(first):  # Adam changes a reached row on every step, so log it before this one
+            log.append((first, emb[first]))
+            reached[first] = True
+        adam.step(grads)
+
     best_f1 = -1.0
-    best_params = model.copy_params()
+    best_params = {key: value.copy() for key, value in model.params.items() if key != "emb"}
+    best_rows = np.flatnonzero(reached)
+    best_emb = emb[best_rows]
     since_improve = 0
     history = []
     for epoch in range(1, cfg.epochs + 1):
-        train_loss = run_epoch(
-            len(train_ex), cfg.batch_size, shuffle_rng, loss_grads, adam.step, epoch
-        )
+        train_loss = run_epoch(len(train_ex), cfg.batch_size, shuffle_rng, loss_grads, step, epoch)
         val_preds = model.predict_batch(val_ex)
         val_f1 = macro_f1(val_preds, [ex.label for ex in val_ex])
         history.append((epoch, float(train_loss), float(val_f1)))
 
         if val_f1 > best_f1:
             best_f1 = val_f1
-            for key in PARAM_ORDER:  # in place: a fresh copy would live beside the old one
+            for key in best_params:  # in place: a fresh copy would live beside the old one
                 best_params[key][...] = model.params[key]
+            log.clear()
+            del best_rows, best_emb  # before the new snapshot, not beside it
+            best_rows = np.flatnonzero(reached)
+            best_emb = emb[best_rows]
             since_improve = 0
         else:
             since_improve += 1
         if since_improve >= cfg.patience:
             break
-    model.set_params(best_params)
+    for rows, values in log:
+        emb[rows] = values
+    emb[best_rows] = best_emb
+    for key, value in best_params.items():
+        model.params[key][...] = value
     return history
 
 
@@ -724,7 +758,8 @@ def save_checkpoint(model: CnnModel, path, vocab_fingerprint: str = "") -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         for key in PARAM_ORDER:
-            fh.write(np.ascontiguousarray(model.params[key], dtype="<f4").tobytes())
+            # the array's own buffer: tobytes() would copy the table once more
+            fh.write(memoryview(np.ascontiguousarray(model.params[key], dtype="<f4")).cast("B"))
 
 
 _MANIFEST_KEYS = (
@@ -769,46 +804,45 @@ def load_checkpoint(path, vocab: Optional[Vocabulary] = None) -> CnnModel:
                 break
             key, _, value = text.partition(" ")
             manifest[key] = value
-        blob = fh.read()
 
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise ValueError(f"checkpoint manifest lacks key {missing[0]!r}")
-    if manifest["format"] != CHECKPOINT_MAGIC:
-        raise ValueError(f"unknown checkpoint format {manifest['format']!r}")
-    vocab_size, embed_dim, pooled_width, dense_units, m_max = (
-        _manifest_values(manifest, key, int, 1)[0]
-        for key in ("vocab_size", "embed_dim", "pooled_width", "dense_units", "m_max")
-    )
-    if vocab_size < 2:  # every vocabulary holds the pad and unknown rows
-        raise ValueError(f"checkpoint manifest key 'vocab_size' must be >= 2, got {vocab_size}")
-    counts = _manifest_values(manifest, "filter_counts", int, len(FILTER_HEIGHTS))
-    if pooled_width != sum(counts):
-        raise ValueError(f"{sum(counts)} expected for pooled width, got {pooled_width}")
-    rates = _manifest_values(manifest, "dropout", float, len(DropoutSpec().as_tuple_named()))
-    cfg = CnnConfig(
-        embed_dim=embed_dim,
-        filter_counts=counts,
-        dense_units=dense_units,
-        m_max=m_max,
-        dropout=DropoutSpec(*rates),
-    )
-
-    shapes = _param_shapes(cfg, vocab_size)
-    expected = sum(int(np.prod(shapes[k])) for k in PARAM_ORDER) * 4
-    if len(blob) != expected:
-        raise ValueError(
-            f"parameter blob length mismatch: expected {expected} bytes, "
-            f"got {len(blob)}"
+        missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+        if missing:
+            raise ValueError(f"checkpoint manifest lacks key {missing[0]!r}")
+        if manifest["format"] != CHECKPOINT_MAGIC:
+            raise ValueError(f"unknown checkpoint format {manifest['format']!r}")
+        vocab_size, embed_dim, pooled_width, dense_units, m_max = (
+            _manifest_values(manifest, key, int, 1)[0]
+            for key in ("vocab_size", "embed_dim", "pooled_width", "dense_units", "m_max")
+        )
+        if vocab_size < 2:  # every vocabulary holds the pad and unknown rows
+            raise ValueError(
+                f"checkpoint manifest key 'vocab_size' must be >= 2, got {vocab_size}")
+        counts = _manifest_values(manifest, "filter_counts", int, len(FILTER_HEIGHTS))
+        if pooled_width != sum(counts):
+            raise ValueError(f"{sum(counts)} expected for pooled width, got {pooled_width}")
+        rates = _manifest_values(manifest, "dropout", float, len(DropoutSpec().as_tuple_named()))
+        cfg = CnnConfig(
+            embed_dim=embed_dim,
+            filter_counts=counts,
+            dense_units=dense_units,
+            m_max=m_max,
+            dropout=DropoutSpec(*rates),
         )
 
-    params = {}
-    offset = 0
-    for key in PARAM_ORDER:
-        size = int(np.prod(shapes[key]))
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-        params[key] = arr.reshape(shapes[key]).copy()
-        offset += size * 4
+        # each parameter is read straight into its own array: no blob beside them
+        shapes = _param_shapes(cfg, vocab_size)
+        expected = sum(int(np.prod(shapes[k])) for k in PARAM_ORDER) * 4
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise ValueError(
+                f"parameter blob length mismatch: expected {expected} bytes, got {size}"
+            )
+        params = {}
+        for key in PARAM_ORDER:
+            params[key] = np.empty(shapes[key], dtype="<f4")
+            got = fh.readinto(memoryview(params[key]).cast("B"))
+            if got != params[key].nbytes:  # the file shrank since fstat
+                raise ValueError(f"truncated checkpoint: parameter {key} is short")
 
     if vocab is not None and manifest["vocab_hash"]:
         if vocab_hash(vocab) != manifest["vocab_hash"]:

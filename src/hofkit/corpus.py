@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .fileio import atomic_open
+from .fileio import atomic_open, utf8_line_errors
 from .preprocess import _stemmer, preprocess
 from .seeding import derived_rng
 
@@ -77,9 +77,10 @@ def load_tsv(path, suffixes=None) -> Dataset:
     Expected header columns: ``text_id``, ``text``, and optionally ``task_1``
     with values HOF/NOT; extra columns are ignored. Text is run through the
     preprocessing pipeline (``suffixes`` overrides the stemmer table).
-    Malformed rows raise ``CorpusError`` naming the 1-based line number.
+    Malformed rows and bytes that are not UTF-8 raise ``CorpusError`` naming
+    the 1-based line number.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh, utf8_line_errors(path, CorpusError):
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
         try:
             header = next(reader)
@@ -123,7 +124,7 @@ def load_tsv(path, suffixes=None) -> Dataset:
 def load_token_lines(path) -> list[tuple[str, ...]]:
     """Read an already-preprocessed corpus: one space-joined token stream per line."""
     streams = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_line_errors(path):
         for line in fh:
             streams.append(tuple(line.split()))
     return streams

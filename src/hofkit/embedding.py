@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import EncodedExample, Vocabulary, PAD_TOKEN, UNK_TOKEN
-from .fileio import atomic_open
+from .fileio import atomic_open, utf8_line_errors
 from .seeding import derived_rng
 
 __all__ = [
@@ -290,7 +290,7 @@ def load_words(path) -> Vocabulary:
     pad/unknown words; those get prepended so ids 0/1 keep their meaning.
     """
     words = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_line_errors(path):
         v, dim = _read_header(fh)
         for _ in _rows(fh, v, dim, words):
             pass
@@ -301,11 +301,12 @@ def load_text(path) -> tuple[EmbeddingMatrix, Vocabulary]:
     """Load text-format vectors; returns input vectors only plus the vocabulary.
 
     The file is read once: ``np.loadtxt`` parses the values of the rows that
-    the ``load_words`` checks pass. The reserved words ``load_words``
-    prepends get zero vectors.
+    the ``load_words`` checks pass, into one array of the row count the
+    header declares. The reserved words ``load_words`` prepends get zero
+    vectors.
     """
     words = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_line_errors(path):
         v, dim = _read_header(fh)
         rows = _rows(fh, v, dim, words)
         if v and dim:  # else no values: loadtxt would warn (V 0) or drop empty words (dim 0)
@@ -316,11 +317,12 @@ def load_text(path) -> tuple[EmbeddingMatrix, Vocabulary]:
                 usecols=range(1, dim + 1),
                 dtype=np.float64,
                 ndmin=2,
+                max_rows=v,  # allocated once at the declared size, not grown row block by block
             )
         else:
-            for _ in rows:
-                pass
             w_in = np.zeros((v, dim))
+        for _ in rows:  # any rows past the declared count: _rows rejects them once drained
+            pass
     vocab = _vocabulary(words)
     reserved = len(vocab) - v
     if reserved:

@@ -1,9 +1,10 @@
-"""Output files that appear whole or not at all.
+"""Output files that appear whole or not at all, and input that is not UTF-8.
 
 Every file a command writes goes through ``atomic_open``: the content is
 written to a temporary file in the target's directory, which then replaces
 the target in one rename. A command that fails part way leaves the previous
-file (or none) in place, never a truncated one.
+file (or none) in place, never a truncated one. A reader of UTF-8 text runs
+under ``utf8_line_errors``, so an invalid byte is reported with its line.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-__all__ = ["atomic_open"]
+__all__ = ["atomic_open", "utf8_line_errors"]
 
 
 @contextlib.contextmanager
@@ -35,3 +36,26 @@ def atomic_open(path, mode: str = "w"):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def utf8_line_errors(path, error=ValueError):
+    """Turn a ``UnicodeDecodeError`` while reading ``path`` into ``error`` naming the line.
+
+    The decoder reports a position within the chunk it was decoding, so the
+    file's bytes are read again to find the 1-based line of its first invalid
+    byte. Only this error path reads them, so a valid file costs nothing more.
+    """
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise error(
+                f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason}), line {line}"
+            ) from None
+        raise  # the file changed since the failed read

@@ -101,5 +101,6 @@ def run_epoch(
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
             step(grads)
+        del grads  # else it lives on while the next batch's are computed
         running += loss * len(idx)
     return running / n

@@ -528,6 +528,108 @@ def test_training_peak_memory_is_one_snapshot_and_the_reached_rows():
     assert peak < bound, (peak, bound)
 
 
+def test_training_peak_memory_holds_no_table_snapshot():
+    # the setup above, bounded without the table: the best-epoch snapshot
+    # keeps only the reached rows, so a copy of all 40 000 rows fails it
+    rng = derived_rng(22, "cnn-test-train-memory")
+    cfg = CnnConfig(embed_dim=16, filter_counts=(4, 4, 8), dense_units=8, m_max=16)
+    model = CnnModel.init(rng.normal(0, 0.1, size=(40_000, cfg.embed_dim)), cfg)
+    words = rng.choice(np.arange(2, 40_000), size=90, replace=False)
+    train = [EncodedExample(tuple(int(x) for x in rng.choice(words, size=int(n))), i % 2)
+             for i, n in enumerate(rng.integers(3, 12, size=24))]
+    reached = len({i for ex in train for i in ex.ids})
+    others = sum(v.nbytes for k, v in model.params.items() if k != "emb")
+    flags = len(model.params["emb"])  # one bool per row: has a gradient reached it?
+    bound = others + 16 * reached * cfg.embed_dim * model.dtype.itemsize + flags + 128 * 1024
+    tracemalloc.start()
+    try:
+        train_model(model, train, train[:8], TrainConfig(epochs=3, batch_size=8, seed=22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
+def test_snapshot_and_log_together_hold_at_most_one_table(monkeypatch):
+    # every row of the table is reached in epoch 1 and every epoch improves, so
+    # a snapshot is taken after each. Between two epochs (validation, snapshot)
+    # the memory held beyond Adam's two moment tables is one table (the log of
+    # first-reached rows, or the snapshot) and slack, never two: the log is
+    # dropped, and the old snapshot freed, before the new snapshot is taken
+    rng = derived_rng(23, "cnn-test-snapshot-memory")
+    cfg = CnnConfig(embed_dim=64, filter_counts=(2, 2, 4), dense_units=8, m_max=40)
+    vocab = 4000
+    model = CnnModel.init(rng.normal(0, 0.1, size=(vocab, cfg.embed_dim)), cfg)
+    train = [EncodedExample(tuple(int(x) for x in ids), i % 2)
+             for i, ids in enumerate(np.array_split(rng.permutation(vocab), 100))]
+    table = model.params["emb"].nbytes
+    scores = iter([0.1, 0.2, 0.3, 0.4])
+    monkeypatch.setattr(cnn, "macro_f1", lambda preds, labels: next(scores))
+    real_run_epoch = cnn.run_epoch
+    held = []  # per gap between epochs: the peak of traced bytes in it, less Adam's moments
+
+    def gap_ends():
+        if held and held[-1] is None:
+            held[-1] = tracemalloc.get_traced_memory()[1] - 2 * table
+
+    def run_epoch(*args):
+        gap_ends()
+        loss = real_run_epoch(*args)
+        tracemalloc.reset_peak()
+        held.append(None)
+        return loss
+
+    monkeypatch.setattr(cnn, "run_epoch", run_epoch)
+    tracemalloc.start()
+    try:
+        train_model(model, train, train[:8], TrainConfig(epochs=4, batch_size=25, seed=23))
+        gap_ends()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 4
+    bound = table + table // 2
+    assert all(h < bound for h in held), (held, bound)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_restore_with_rows_first_reached_after_the_best_epoch(monkeypatch, dtype):
+    # epoch k trains on the first k quarters of the tweets, so epochs 3 and 4
+    # reach rows epoch 2 never did; epoch 2 scores best. The restored model
+    # must be, byte for byte, the full copy taken after epoch 2
+    rng = derived_rng(24, "cnn-test-restore")
+    cfg = CnnConfig(embed_dim=8, filter_counts=(2, 2, 4), dense_units=8, m_max=16,
+                    dropout=DropoutSpec(0.2, 0.1, 0.1, 0.1, 0.2))
+    emb = rng.normal(0, 0.1, size=(200, cfg.embed_dim))
+    emb[150, 2] = -0.0  # a row no tweet holds keeps its bytes, sign bit too
+    model = CnnModel.init(emb, cfg, seed=24, dtype=dtype)
+    initial = model.copy_params()
+    train = [EncodedExample(tuple(int(x) for x in rng.integers(2, 150, size=int(n))), i % 2)
+             for i, n in enumerate(rng.integers(3, 12, size=40))]
+    real_run_epoch = cnn.run_epoch
+    monkeypatch.setattr(cnn, "run_epoch",
+                        lambda n, *args: real_run_epoch(n * args[-1] // 4, *args))
+    scores = iter([0.5, 0.8, 0.6, 0.7])
+    after = []  # the oracle: a full copy of the parameters after every epoch
+
+    def macro_f1(preds, labels):
+        after.append(model.copy_params())
+        return next(scores)
+
+    monkeypatch.setattr(cnn, "macro_f1", macro_f1)
+    history = train_model(model, train, train[:8],
+                          TrainConfig(epochs=4, batch_size=8, patience=4, seed=24))
+    assert [h[2] for h in history] == [0.5, 0.8, 0.6, 0.7]
+    best, last = after[1], after[3]
+    late = sorted({i for ex in train[20:] for i in ex.ids} - {i for ex in train[:20] for i in ex.ids})
+    assert late
+    # the late rows kept their initial bytes up to epoch 2 and moved after it
+    assert best["emb"][late].tobytes() == initial["emb"][late].tobytes()
+    assert not np.array_equal(last["emb"][late], best["emb"][late])
+    for key in cnn.PARAM_ORDER:
+        assert model.params[key].tobytes() == best[key].tobytes(), key
+    assert model.params["emb"][150].tobytes() == initial["emb"][150].tobytes()
+
+
 # ragged padded lengths: a tweet truncated at m_max = 7, tweets shorter than
 # M_MIN, an all-pad tweet and one of exactly M_MIN ids
 MASK_ID_LISTS = [(3, 1, 4, 1, 5, 8), tuple(range(1, 9)) * 2, (2, 7), (), (5,) * 7, (1, 2, 3, 4, 5)]
@@ -742,6 +844,25 @@ class TestCheckpoint:
             assert np.array_equal(loaded.params[key], model.params[key])
             assert loaded.params[key].dtype == np.dtype("<f4")
         assert loaded.cfg == model.cfg
+
+    def test_save_and_load_peak_memory_is_the_parameters(self, tmp_path):
+        # save writes each parameter's own buffer, and load reads each parameter
+        # into its own array: a bytes copy per parameter on save, or a
+        # whole-blob read with a copy per parameter on load, fails the bounds
+        cfg = CnnConfig(embed_dim=32, filter_counts=(4, 4, 8), dense_units=8, m_max=16)
+        model = CnnModel.init(np.zeros((20_000, cfg.embed_dim)), cfg)
+        path = tmp_path / "model.ckpt"
+        params = sum(v.nbytes for v in model.params.values())
+        peaks = []
+        for run in (lambda: save_checkpoint(model, path), lambda: load_checkpoint(path)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 1024 * 1024, (peaks, params)
+        assert peaks[1] < params + 1024 * 1024, (peaks, params)
 
     def test_truncated_file_rejected(self, tmp_path):
         model = self._trained_small(tmp_path)

@@ -52,6 +52,15 @@ class TestLoadTsv:
         with pytest.raises(CorpusError, match="duplicate id 't1', line 3"):
             load_tsv(p)
 
+    @pytest.mark.parametrize("good_rows", [1, 2000])  # 2000 rows put the byte past a read chunk
+    def test_invalid_utf8_reports_line(self, tmp_path, good_rows):
+        p = tmp_path / "d.tsv"
+        write_tsv(p, [f"t{i}\tkuch bhi\tHOF" for i in range(good_rows)])
+        with open(p, "ab") as fh:
+            fh.write(b"bad\tbura \xff word\tNOT\n")
+        with pytest.raises(CorpusError, match=rf"byte 0xff is not UTF-8 .*, line {good_rows + 2}$"):
+            load_tsv(p)
+
     def test_unlabelled_file(self, tmp_path):
         p = tmp_path / "d.tsv"
         write_tsv(p, ["t1\tkuch bhi"], header="text_id\ttext")
@@ -64,6 +73,13 @@ class TestLoadTsv:
             p, ["t1\tkuch\tHOF\tPRFN"], header="text_id\ttext\ttask_1\ttask_2"
         )
         assert load_tsv(p)[0].label == 1
+
+
+def test_token_lines_name_the_line_of_an_invalid_utf8_byte(tmp_path):
+    p = tmp_path / "c.txt"
+    p.write_bytes(b"kuch bhi\n" * 2000 + b"bura \xff word\n")
+    with pytest.raises(ValueError, match=r"byte 0xff is not UTF-8 .*, line 2001$"):
+        corpus.load_token_lines(p)
 
 
 class TestBuildVocab:

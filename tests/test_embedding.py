@@ -470,10 +470,11 @@ class TestTextFormat:
         assert m.w_in.shape == (2, 3)
         assert not m.w_in.any()
 
-    def test_row_count_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("declared, rows", [(5, 4), (2, 4)])  # fewer rows, more rows
+    def test_row_count_mismatch(self, tmp_path, declared, rows):
         p = tmp_path / "vec.txt"
-        p.write_text("5 2\nxxpad 0 0\nxxunk 0 0\na 1 2\nb 3 4\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="declares 5 rows but file has 4"):
+        p.write_text(f"{declared} 2\nxxpad 0 0\nxxunk 0 0\na 1 2\nb 3 4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"declares {declared} rows but file has {rows}"):
             load_text(p)
 
     def test_malformed_header(self, tmp_path):
@@ -523,6 +524,15 @@ class TestTextFormat:
             p.write_text(text, encoding="utf-8")
             with pytest.raises(ValueError, match=needle):
                 load_words(p)
+
+    @pytest.mark.parametrize("good_rows", [1, 2000])  # 2000 rows put the byte past a read chunk
+    @pytest.mark.parametrize("reader", [load_words, load_text])
+    def test_invalid_utf8_reports_line(self, tmp_path, reader, good_rows):
+        p = tmp_path / "vec.txt"
+        rows = "".join(f"w{i} 0 1\n" for i in range(good_rows))
+        p.write_bytes(f"{good_rows + 1} 2\n{rows}".encode() + b"w\xff 1 2\n")
+        with pytest.raises(ValueError, match=rf"byte 0xff is not UTF-8 .*, line {good_rows + 2}$"):
+            reader(p)
 
     def test_load_words_ignores_the_values(self, tmp_path):
         p = tmp_path / "vec.txt"

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,20 @@ class TestRunEpoch:
         mean = run_epoch(10, 4, derived_rng(0, "epoch"), loss_grads, lambda g: None, 1)
         assert sorted(seen) == list(range(10))
         assert mean == pytest.approx((4 * 4 + 4 * 4 + 2 * 2) / 10)
+
+    def test_a_batch_gradients_are_dropped_before_the_next_are_computed(self):
+        # a batch's gradients can be as large as the model's weights: holding
+        # them while the next batch's are computed keeps two sets alive
+        refs = []
+
+        def loss_grads(idx):
+            assert all(ref() is None for ref in refs)
+            grads = np.zeros(len(idx))
+            refs.append(weakref.ref(grads))
+            return 0.5, grads
+
+        run_epoch(10, 3, derived_rng(0, "epoch"), loss_grads, lambda g: None, 1)
+        assert len(refs) == 4
 
     def test_non_finite_loss_raises_before_the_step(self):
         steps = []
