@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import baselines, cnn, corpus, embedding
-from .fileio import atomic_open
+from .fileio import atomic_open, utf8_line_errors
 from .metrics import (
     confusion,
     confusion_to_tsv,
@@ -72,8 +72,7 @@ def _load_config(path) -> dict:
     config = {section: {} for section in _SECTIONS}
     if path is None:
         return config
-    with open(path, encoding="utf-8") as fh:
-        values = json.load(fh)
+    values = _read_json(path, "config")
     if not isinstance(values, dict):
         raise ValueError(f"config {path}: top level must be a JSON object")
     config = {**config, **_convert_keys(path, values, _TOP_LEVEL)}
@@ -83,6 +82,19 @@ def _load_config(path) -> dict:
         except ValueError as exc:
             raise ValueError(f"config {path}: {exc}") from None
     return config
+
+
+def _read_json(path, kind: str):
+    """The JSON value in the file ``path``.
+
+    A byte that is not UTF-8 (named with its line) or malformed JSON raises one
+    ValueError that begins ``<kind> <path>: ``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh, utf8_line_errors(path):
+            return json.load(fh)
+    except ValueError as exc:  # json.JSONDecodeError is one
+        raise ValueError(f"{kind} {path}: {exc}") from None
 
 
 def _convert_keys(path, values: dict, kinds: dict, section: str = "") -> dict:
@@ -338,8 +350,7 @@ def cmd_baseline(args) -> int:
 
     grid = baselines.DEFAULT_GRIDS[args.model]
     if args.grid:
-        with open(args.grid, encoding="utf-8") as fh:
-            grid = json.load(fh)
+        grid = _read_json(args.grid, "grid")
     folds = _pick(args.folds, config, "folds", 10)
     result = baselines.grid_search(args.model, grid, encoded, len(vocab), folds=folds, seed=seed)
 

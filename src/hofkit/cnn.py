@@ -43,10 +43,16 @@ Inference packs up to ``INFER_BLOCK`` tweets at a time and projects each
 distinct id of the block once, bank by bank, in slices of at most
 ``INFER_SLICE`` filters (all offsets of those filters), so the largest
 temporary is (distinct ids) x 5 x ``INFER_SLICE``. The window sums and the
-max-pool then run ``INFER_BATCH`` tweets at a time from that projection, and
-the dense head runs once per block. Training and inference share the two
-convolution helpers, ``_project`` and ``_window_pool``. Inference never
-mutates the model and is safe to run concurrently; training is single-writer.
+max-pool then run over a padded layout: the block's tweets are sorted by
+padded length, and each run of ``INFER_BATCH`` of them in that order is laid
+out as (tweets, windows of its longest tweet, filters), each window summing
+its offsets' projection rows in the order training sums them. A shorter
+tweet's windows past its last one repeat its last, so one ``max`` over the
+windows axis pools every tweet of the run exactly; the pooled rows go back to
+the tweets' places in the block, and the dense head runs once per block.
+Training and inference share ``_project``; training keeps the packed layout
+(``_window_pool``), which its backward pass reads. Inference never mutates
+the model and is safe to run concurrently; training is single-writer.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ M_MIN = 5  # sequences are padded so the tallest filter always fits
 PROB_CLAMP = 1e-7
 INFER_BLOCK = 2048  # tweets per inference block: one np.unique, each distinct id projected once
 INFER_SLICE = 64  # filters per inference projection: (distinct ids) x 5 x 64 at most
-INFER_BATCH = 32  # tweets per window-sum and max-pool run of inference
+INFER_BATCH = 32  # tweets per padded window-sum and max-pool run of inference, in length order
 
 PARAM_ORDER = (
     "emb",
@@ -417,28 +423,33 @@ class CnnModel:
     def _block_proba(self, id_lists: Sequence) -> np.ndarray:
         """P(HOF) per tweet of one inference block; see the module docstring."""
         p, cfg = self.params, self.cfg
-        ids, lengths, room = _pack(id_lists, cfg.m_max)
+        ids, lengths, _ = _pack(id_lists, cfg.m_max)
         u, inv = np.unique(ids, return_inverse=True)
         emb_u = p["emb"][u]
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
+        starts = np.cumsum(lengths) - lengths
+        order = np.argsort(lengths, kind="stable")  # a run of like lengths pads little
         pooled = np.empty((len(lengths), cfg.pooled_width), dtype=self.dtype)
         col = 0
         for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
-            runs = []  # per INFER_BATCH tweets: the first one, _window_pool's reads and first
-            for t0 in range(0, len(lengths), INFER_BATCH):
-                t1 = min(t0 + INFER_BATCH, len(lengths))
-                a, b = starts[t0], ends[t1 - 1]
-                rows = a + np.flatnonzero(room[a:b] >= h)
-                counts = lengths[t0:t1] - h + 1
-                runs.append((t0, inv[rows + np.arange(h)[:, None]], np.cumsum(counts) - counts))
+            runs = []  # per INFER_BATCH tweets in length order: them, and per offset their reads
+            for r0 in range(0, len(order), INFER_BATCH):
+                tweets = order[r0 : r0 + INFER_BATCH]
+                counts = lengths[tweets] - h + 1
+                # (tweet, window) -> packed start; windows past a tweet's last repeat it
+                at = starts[tweets, None] + np.minimum(np.arange(counts[-1]), counts[:, None] - 1)
+                runs.append((tweets, [inv[at + j] * h + j for j in range(h)]))
             for lo in range(0, count, INFER_SLICE):
                 hi = min(lo + INFER_SLICE, count)
-                proj = _project(emb_u, self._filter_rows(h, lo, hi))
+                # row id * h + j holds that id's projection at offset j, contiguous
+                proj = _project(emb_u, self._filter_rows(h, lo, hi)).reshape(-1, hi - lo)
                 bias = p[f"conv{h}_b"][lo:hi]
-                for t0, reads, first in runs:
-                    pooled[t0 : t0 + len(first), col + lo : col + hi] = _window_pool(
-                        proj, reads, first, bias)[1]
+                for tweets, reads in runs:
+                    z = proj.take(reads[0], axis=0)  # (tweets, windows, filters)
+                    for read in reads[1:]:
+                        z += proj.take(read, axis=0)
+                    z += bias
+                    # a repeated window leaves the max as it is; pool, then ReLU
+                    pooled[tweets, col + lo : col + hi] = np.maximum(z.max(axis=1), 0.0)
                 del proj  # else it lives on while the next slice's is computed
             col += count
         return self._dense_head(pooled, {})[0]

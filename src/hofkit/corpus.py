@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -78,47 +79,57 @@ def load_tsv(path, suffixes=None) -> Dataset:
     with values HOF/NOT; extra columns are ignored. Text is run through the
     preprocessing pipeline (``suffixes`` overrides the stemmer table).
     Malformed rows and bytes that are not UTF-8 raise ``CorpusError`` naming
-    the 1-based line number.
+    the 1-based line number; the first defect in line order is the one raised.
     """
-    with open(path, encoding="utf-8", newline="") as fh, utf8_line_errors(path, CorpusError):
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError("empty file, missing header") from None
-        try:
-            id_col = header.index("text_id")
-            text_col = header.index("text")
-        except ValueError:
-            raise CorpusError(
-                f"header must contain text_id and text columns, got {header!r}"
-            ) from None
-        label_col = header.index("task_1") if "task_1" in header else None
+    stem = _stemmer(suffixes)  # one memo per file: each distinct token is stemmed once
+    with open(path, encoding="utf-8", newline="") as fh, utf8_line_errors(
+        path, CorpusError, _check_rows
+    ):
+        return Dataset([
+            Example(tweet_id, tuple(preprocess(text, stem=stem)), label)
+            for tweet_id, text, label in _rows(fh)
+        ])
 
-        stem = _stemmer(suffixes)  # one memo per file: each distinct token is stemmed once
-        examples: list[Example] = []
-        seen_ids: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CorpusError(
-                    f"expected {len(header)} fields, got {len(row)}, line {lineno}"
-                )
-            tweet_id = row[id_col]
-            if not tweet_id:
-                raise CorpusError(f"empty text_id, line {lineno}")
-            if tweet_id in seen_ids:
-                raise CorpusError(f"duplicate id {tweet_id!r}, line {lineno}")
-            seen_ids.add(tweet_id)
-            label = None
-            if label_col is not None:
-                raw = row[label_col]
-                if raw not in LABEL_TO_ID:
-                    raise CorpusError(f"unknown label {raw!r}, line {lineno}")
-                label = LABEL_TO_ID[raw]
-            examples.append(
-                Example(tweet_id, tuple(preprocess(row[text_col], stem=stem)), label)
-            )
-    return Dataset(examples)
+
+def _rows(lines: Iterable[str]):
+    """(text_id, text, label or None) per data row of a tweet TSV, checked in line order."""
+    reader = csv.reader(lines, delimiter="\t", quoting=csv.QUOTE_NONE)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CorpusError("empty file, missing header") from None
+    try:
+        id_col = header.index("text_id")
+        text_col = header.index("text")
+    except ValueError:
+        raise CorpusError(
+            f"header must contain text_id and text columns, got {header!r}"
+        ) from None
+    label_col = header.index("task_1") if "task_1" in header else None
+
+    seen_ids: set[str] = set()
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise CorpusError(f"expected {len(header)} fields, got {len(row)}, line {lineno}")
+        tweet_id = row[id_col]
+        if not tweet_id:
+            raise CorpusError(f"empty text_id, line {lineno}")
+        if tweet_id in seen_ids:
+            raise CorpusError(f"duplicate id {tweet_id!r}, line {lineno}")
+        seen_ids.add(tweet_id)
+        label = None
+        if label_col is not None:
+            raw = row[label_col]
+            if raw not in LABEL_TO_ID:
+                raise CorpusError(f"unknown label {raw!r}, line {lineno}")
+            label = LABEL_TO_ID[raw]
+        yield tweet_id, row[text_col], label
+
+
+def _check_rows(text: str) -> None:
+    """Raise the first row defect of ``text``, a tweet TSV's lines before an invalid byte."""
+    for _ in _rows(io.StringIO(text, newline="")):
+        pass
 
 
 def load_token_lines(path) -> list[tuple[str, ...]]:

@@ -39,12 +39,15 @@ def atomic_open(path, mode: str = "w"):
 
 
 @contextlib.contextmanager
-def utf8_line_errors(path, error=ValueError):
+def utf8_line_errors(path, error=ValueError, check_before=None):
     """Turn a ``UnicodeDecodeError`` while reading ``path`` into ``error`` naming the line.
 
     The decoder reports a position within the chunk it was decoding, so the
     file's bytes are read again to find the 1-based line of its first invalid
     byte. Only this error path reads them, so a valid file costs nothing more.
+    A reader that decodes ahead of the lines it has checked passes
+    ``check_before``: it is called with the text of the lines before that line
+    and raises the first defect it finds there, so errors come in line order.
     """
     try:
         yield
@@ -54,7 +57,10 @@ def utf8_line_errors(path, error=ValueError):
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            line_start = data.rfind(b"\n", 0, exc.start) + 1
+            if check_before is not None and line_start:
+                check_before(data[:line_start].decode("utf-8"))
+            line = data.count(b"\n", 0, line_start) + 1
             raise error(
                 f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason}), line {line}"
             ) from None

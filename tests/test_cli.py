@@ -471,6 +471,26 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"train": {"epochs": 2,\n "lr": "\xff"}}',
+             "byte 0xff is not UTF-8 (invalid start byte), line 2"),
+            (b'{"train": {"epochs": 2, }}',
+             "Expecting property name enclosed in double quotes: line 1 column 25 (char 24)"),
+        ],
+        ids=["not-utf8", "bad-json"],
+    )
+    def test_unreadable_config_is_one_error_line_naming_the_file(self, tmp_path, capsys,
+                                                                  content, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        rc, out = self._run_with_config(tmp_path, "train", None)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: config {path}: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
         "command, text, flags, message",
         [
             ("train", '{"embedding": {"objective": "skipgrm"}}', [], "unknown objective 'skipgrm'"),
@@ -562,12 +582,16 @@ class TestConfigValidation:
 
     @staticmethod
     def _run_with_config(tmp_path, command, text, flags=()):
-        """Exit code and output path of ``command`` under the config file ``text``."""
+        """Exit code and output path of ``command`` under the config file ``text``.
+
+        With ``text`` None, ``config.json`` in ``tmp_path`` is used as it stands.
+        """
         data = make_labelled_tsv(tmp_path / "train.tsv")
         vectors = tmp_path / "vectors.txt"
         vectors.write_text("2 2\naccha 0.1 0.2\nbura 0.3 0.4\n", encoding="utf-8")
         path = tmp_path / "config.json"
-        path.write_text(text, encoding="utf-8")
+        if text is not None:  # else the file is already written
+            path.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
         argv = {
             "train": ["train", "--data", str(data), "--embeddings", str(vectors), "--out", str(out),
@@ -1158,6 +1182,29 @@ class TestBaselineCmd:
         assert err.startswith("error: grid point") and err.count("\n") == 1
         assert needle in err
         assert fits == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"alpha":\n [0.5, \xff]}', "byte 0xff is not UTF-8 (invalid start byte), line 2"),
+            (b'{"alpha": [0.5 1.0]}', "Expecting ',' delimiter: line 1 column 16 (char 15)"),
+        ],
+        ids=["not-utf8", "bad-json"],
+    )
+    def test_unreadable_grid_is_one_error_line_naming_the_file(self, tmp_path, capsys,
+                                                                content, message):
+        data = make_labelled_tsv(tmp_path / "train.tsv", n=30)
+        path = tmp_path / "grid.json"
+        path.write_bytes(content)
+        out = tmp_path / "table.tsv"
+        rc = cli.main(
+            ["baseline", "--model", "mnb", "--data", str(data), "--grid", str(path),
+             "--folds", "3", "--min-count", "1", "--seed", "4", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: grid {path}: {message}\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("grid", [{"alpha": 1.0}, [1, 2]], ids=["scalar-values", "list-of-numbers"])
     def test_malformed_grid_is_one_error_line(self, tmp_path, capsys, grid):

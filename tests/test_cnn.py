@@ -157,6 +157,40 @@ def packed_loss_grads(model, batch, masks=None):
     return loss, grads, saved
 
 
+def packed_block_proba(model, id_lists):
+    """The packed inference pool the padded one replaced: the byte-for-byte oracle.
+
+    Runs of ``INFER_BATCH`` tweets in input order, stacked end to end; each
+    window sums its offsets' columns of one projection per filter slice, and
+    ``np.maximum.reduceat`` pools each tweet's windows.
+    """
+    p, cfg = model.params, model.cfg
+    ids, lengths, room = cnn._pack(id_lists, cfg.m_max)
+    u, inv = np.unique(ids, return_inverse=True)
+    emb_u = p["emb"][u]
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    pooled = np.empty((len(lengths), cfg.pooled_width), dtype=model.dtype)
+    col = 0
+    for h, count in zip(cnn.FILTER_HEIGHTS, cfg.filter_counts):
+        runs = []
+        for t0 in range(0, len(lengths), cnn.INFER_BATCH):
+            t1 = min(t0 + cnn.INFER_BATCH, len(lengths))
+            a, b = starts[t0], ends[t1 - 1]
+            rows = a + np.flatnonzero(room[a:b] >= h)
+            counts = lengths[t0:t1] - h + 1
+            runs.append((t0, inv[rows + np.arange(h)[:, None]], np.cumsum(counts) - counts))
+        for lo in range(0, count, cnn.INFER_SLICE):
+            hi = min(lo + cnn.INFER_SLICE, count)
+            proj = cnn._project(emb_u, model._filter_rows(h, lo, hi))
+            bias = p[f"conv{h}_b"][lo:hi]
+            for t0, reads, first in runs:
+                pooled[t0 : t0 + len(first), col + lo : col + hi] = cnn._window_pool(
+                    proj, reads, first, bias)[1]
+        col += count
+    return model._dense_head(pooled, {})[0]
+
+
 def adam_textbook(params, grads_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     """Adam with fresh moment arrays each step, as in Kingma & Ba's Algorithm 1."""
     m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -174,10 +208,12 @@ def adam_textbook(params, grads_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     return m, v
 
 
-def small_model(seed=0, dropout=None, dtype=np.float64, vocab=9, randomize_biases=True):
+def small_model(seed=0, dropout=None, dtype=np.float64, vocab=9, randomize_biases=True, **shape):
+    """A model of the ``SMALL`` shape, with ``shape`` overriding its fields."""
     rng = derived_rng(seed, "cnn-test-data")
-    emb = rng.normal(0, 0.5, size=(vocab, SMALL["embed_dim"]))
-    cfg = CnnConfig(dropout=dropout or DropoutSpec.none(), **SMALL)
+    shape = {**SMALL, **shape}
+    emb = rng.normal(0, 0.5, size=(vocab, shape["embed_dim"]))
+    cfg = CnnConfig(dropout=dropout or DropoutSpec.none(), **shape)
     model = CnnModel.init(emb, cfg, seed=seed, dtype=dtype)
     if randomize_biases:
         # move off the zero-bias init so no ReLU sits exactly on its kink
@@ -476,6 +512,53 @@ class TestInferenceBlocks:
         one_block = queries[: cnn.INFER_BLOCK]
         assert np.array_equal(model.predict_proba(one_block), probs[: cnn.INFER_BLOCK])
         assert model.predict_proba([]).shape == (0,)
+
+
+class TestPaddedPoolMatchesPackedOracle:
+    """Inference's padded, length-sorted pool gives the packed pool's bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_blocks(self, monkeypatch, dtype, seed):
+        # runs of 3 tweets and slices of 3 filters: bank 5's 4 filters split 3 + 1
+        monkeypatch.setattr(cnn, "INFER_BATCH", 3)
+        monkeypatch.setattr(cnn, "INFER_SLICE", 3)
+        model, rng = small_model(seed=seed, dtype=dtype, m_max=12)
+        m_max = model.cfg.m_max
+        sizes = [0, 1, cnn.M_MIN - 1, cnn.M_MIN, m_max, m_max + 5, *rng.integers(0, 20, size=9)]
+        sizes += sorted(sizes, reverse=True)  # descending: the sort must permute the block
+        queries = [tuple(int(x) for x in rng.integers(1, 9, size=n)) for n in sizes]
+        probs = model._block_proba(queries)
+        assert np.array_equal(probs, packed_block_proba(model, queries))
+        assert np.array_equal(model.predict_proba(queries), probs)
+
+    def test_runs_and_slices_of_the_default_size(self):
+        model, rng = small_model(seed=5, dtype=np.float32, vocab=60, embed_dim=16,
+                                 filter_counts=(70, 70, 140), m_max=64)
+        queries = [tuple(int(x) for x in rng.integers(1, 60, size=n))
+                   for n in rng.integers(0, 80, size=3 * cnn.INFER_BATCH + 7)]
+        assert np.array_equal(model._block_proba(queries), packed_block_proba(model, queries))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_padded_windows_never_win(self, monkeypatch, dtype):
+        # every window over word 2 is large and every one over word 3 negative, so a
+        # short tweet of 3s pools to zero, unless its run's padding, laid out past its
+        # last window, reads the long tweet of 2s that follows it in the block
+        monkeypatch.setattr(cnn, "INFER_BATCH", 4)
+        model, _ = small_model(seed=3, dtype=dtype, m_max=12)
+        p = model.params
+        p["emb"][:] = 0.0
+        p["emb"][2], p["emb"][3] = 1.0, -1.0
+        for h in cnn.FILTER_HEIGHTS:
+            p[f"conv{h}_w"][:] = 1.0
+            p[f"conv{h}_b"][:] = 0.0
+        long, short = (2,) * 12, (3,) * cnn.M_MIN
+        queries = [long, short, long, short]
+        probs = model._block_proba(queries)
+        assert np.array_equal(probs, packed_block_proba(model, queries))
+        zero = model._dense_head(np.zeros((1, model.cfg.pooled_width), dtype=dtype), {})[0]
+        assert np.array_equal(probs[[1, 3]], np.repeat(zero, 2))
+        assert probs[0] == probs[2] != probs[1]
 
 
 def test_inference_peak_memory_is_one_filter_slice_of_the_block_ids():

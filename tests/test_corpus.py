@@ -61,6 +61,28 @@ class TestLoadTsv:
         with pytest.raises(CorpusError, match=rf"byte 0xff is not UTF-8 .*, line {good_rows + 2}$"):
             load_tsv(p)
 
+    @pytest.mark.parametrize(
+        "header, rows, message",
+        [
+            ("text_id\ttext\ttask_1", ["t1\tok\tMAYBE"], "unknown label 'MAYBE', line 2"),
+            ("text_id\ttext\ttask_1", ["t1\tok\tHOF", "t1\tok\tNOT"], "duplicate id 't1', line 3"),
+            ("text_id\ttext\ttask_1", ["t1\tonly-two-fields"], "expected 3 fields, got 2, line 2"),
+            ("id\ttext\ttask_1", [], "header must contain text_id and text columns"),
+        ],
+        ids=["label", "duplicate-id", "field-count", "header"],
+    )
+    def test_row_defect_above_an_invalid_byte_is_reported_first(self, tmp_path, header, rows,
+                                                                  message):
+        # the reader decodes ahead: a byte on line 51 fails before line 2 is checked
+        p = tmp_path / "d.tsv"
+        write_tsv(p, rows + [f"g{i}\tkuch bhi\tHOF" for i in range(49 - len(rows))], header)
+        with open(p, "ab") as fh:
+            fh.write(b"bad\tbura \xff word\tNOT\n")
+        assert p.read_bytes().count(b"\n") == 51
+        with pytest.raises(CorpusError) as exc:
+            load_tsv(p)
+        assert str(exc.value).startswith(message)
+
     def test_unlabelled_file(self, tmp_path):
         p = tmp_path / "d.tsv"
         write_tsv(p, ["t1\tkuch bhi"], header="text_id\ttext")
