@@ -29,30 +29,30 @@ tweet's masks at a time takes them, so a seed's masks do not depend on how
 the draw is batched. The input masks, end to end, scale the packed positions;
 the head's masks are one row per tweet.
 
-Each training batch runs as one packed pass over its padded tweets stacked end
-to end. The convolution projects each distinct id of the pass once through
-every bank and offset (one product against the banks' weights laid out side by
-side), and a window then sums the projections of its words: a bank-h window at
-t is ``b + sum_j mask[t+j] * (emb[ids[t+j]] @ W_j.T)``, Kim's convolution with
-its sums taken in another order. Backward scatters each (tweet, filter)
-argmax's gradient onto those projections and forms the conv and embedding
-gradients from them with two products. Gradients are reduced over the batch in
-a fixed order, so a fixed seed reproduces runs bitwise.
+The convolution projects each distinct id of a pass once through every bank
+and offset (``_project``), and a window then sums the projections of its
+words: a bank-h window at t is ``b + sum_j mask[t+j] * (emb[ids[t+j]] @
+W_j.T)``, Kim's convolution with its sums taken in another order. Training and
+inference lay the window sums out the same way (``_windows``): (tweets,
+windows of the longest tweet, filters), with a shorter tweet's windows past
+its last one repeating its last. A repeated window leaves the max as it is, so
+one ``max`` over the windows axis pools every tweet exactly (``_window_pool``).
 
-Inference packs up to ``INFER_BLOCK`` tweets at a time and projects each
+Each training batch runs as one pass over its tweets in minibatch order, which
+the dropout masks follow. Backward takes, per (tweet, filter), the first
+window whose ReLU value is the pooled max (never a repeated window), scatters
+its gradient onto the projections that window read, and forms the conv and
+embedding gradients from them with two products. Gradients are reduced over
+the batch in a fixed order, so a fixed seed reproduces runs bitwise.
+
+Inference takes up to ``INFER_BLOCK`` tweets at a time and projects each
 distinct id of the block once, bank by bank, in slices of at most
 ``INFER_SLICE`` filters (all offsets of those filters), so the largest
-temporary is (distinct ids) x 5 x ``INFER_SLICE``. The window sums and the
-max-pool then run over a padded layout: the block's tweets are sorted by
-padded length, and each run of ``INFER_BATCH`` of them in that order is laid
-out as (tweets, windows of its longest tweet, filters), each window summing
-its offsets' projection rows in the order training sums them. A shorter
-tweet's windows past its last one repeat its last, so one ``max`` over the
-windows axis pools every tweet of the run exactly; the pooled rows go back to
-the tweets' places in the block, and the dense head runs once per block.
-Training and inference share ``_project``; training keeps the packed layout
-(``_window_pool``), which its backward pass reads. Inference never mutates
-the model and is safe to run concurrently; training is single-writer.
+temporary is (distinct ids) x 5 x ``INFER_SLICE``. It sorts the block's tweets
+by padded length and pools each run of ``INFER_BATCH`` of them in that order,
+so a run pads little; the pooled rows go back to the tweets' places in the
+block, and the dense head runs once per block. Inference never mutates the
+model and is safe to run concurrently; training is single-writer.
 """
 
 from __future__ import annotations
@@ -209,14 +209,23 @@ def _pad_ids(ids: Sequence[int], m_max: int) -> np.ndarray:
 def _pack(id_lists: Sequence, m_max: int) -> tuple:
     """Padded tweets stacked end to end (no padding to a common length).
 
-    Returns the ids, each tweet's padded length, and per position the rows
-    from it to the end of its tweet: a bank-h window fits where that is >= h.
+    Returns the ids and each tweet's padded length. Training and inference
+    both read the windows of this layout through ``_windows``.
     """
     padded = [_pad_ids(ids, m_max) for ids in id_lists]
     lengths = np.array([len(t) for t in padded], dtype=np.int64)
-    ids = np.concatenate(padded)
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
-    return ids, lengths, room
+    return np.concatenate(padded), lengths
+
+
+def _windows(starts: np.ndarray, lengths: np.ndarray, h: int) -> np.ndarray:
+    """Each tweet's bank-h window starts, as (tweets, windows of the longest tweet).
+
+    ``starts`` and ``lengths`` give each tweet's first packed position and
+    padded length. A tweet's windows past its last one repeat its last, so a
+    max over the windows axis pools each tweet over its own windows only.
+    """
+    counts = lengths - h + 1
+    return starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
 
 
 def _project(emb_u: np.ndarray, filter_rows: np.ndarray) -> np.ndarray:
@@ -229,28 +238,21 @@ def _project(emb_u: np.ndarray, filter_rows: np.ndarray) -> np.ndarray:
     return emb_u @ filter_rows.T
 
 
-def _window_pool(proj, reads, first, bias, masks=None) -> tuple:
-    """One bank's window sums and max-pool over a run of packed tweets.
+def _window_pool(term, h: int, bias) -> tuple:
+    """One bank's window sums and max-pool over a run of tweets.
 
-    ``proj`` is a ``_project`` value for one bank's offsets of ``len(bias)``
-    filters. ``reads[j]`` holds the row of ``proj`` each window reads at offset
-    j, ``masks[j]`` (if given) that word's input mask, and ``first`` the index of
-    each tweet's first window. A window sums its words' projections, each
-    scaled by its mask. Returns the pre-ReLU window values (windows, filters)
-    and the pooled ReLU maxima (tweets, filters).
+    ``term(j)`` returns a fresh (tweets, windows, filters) array of the
+    projections each window reads at offset j, scaled by any input mask. A
+    window sums offsets 0..h-1 in order, then adds ``bias``; one term at a
+    time is alive. Returns the pre-ReLU window values and the pooled ReLU
+    maxima (tweets, filters).
     """
-    count = len(bias)
-    for j, read in enumerate(reads):
-        term = proj[read, j * count : (j + 1) * count]
-        if masks is not None:
-            term *= masks[j][:, None]
-        if j:
-            z += term
-        else:
-            z = term
+    z = term(0)
+    for j in range(1, h):
+        z += term(j)
     z += bias
     # ReLU is monotone, so it commutes with the max: pool, then clip
-    return z, np.maximum(np.maximum.reduceat(z, first, axis=0), 0.0)
+    return z, np.maximum(z.max(axis=1), 0.0)
 
 
 def _param_shapes(cfg: CnnConfig, vocab_size: int) -> dict:
@@ -284,18 +286,6 @@ def embedding_table(values, dtype=np.float32) -> np.ndarray:
     if not np.isfinite(table).all():
         raise ValueError(f"embedding values must be finite and fit in {np.dtype(dtype).name}")
     return table
-
-
-def _first_argmax(bank: dict) -> np.ndarray:
-    """Per tweet and filter, the least window whose ReLU value equals the pooled max.
-
-    ``bank`` is one filter height's entry of the saved forward intermediates;
-    the result holds packed window indices, shape (tweets, filters).
-    """
-    z, pooled, first = bank["z"], bank["pooled"], bank["first"]
-    window = np.arange(len(z))[:, None]
-    hits = np.maximum(z, 0.0) == np.repeat(pooled, bank["counts"], axis=0)
-    return np.minimum.reduceat(np.where(hits, window, len(z)), first, axis=0)
 
 
 class CnnModel:
@@ -381,12 +371,14 @@ class CnnModel:
         return np.concatenate([self._filter_rows(h, 0, count) for h, count in banks])
 
     def _forward(self, id_lists: Sequence, masks: Optional[tuple] = None) -> tuple:
-        """One packed pass: P(HOF) per tweet (float64) and the intermediates backward needs.
+        """One pass over a batch: P(HOF) per tweet (float64) and the intermediates backward needs.
 
         ``masks`` is the batch's ``make_masks`` value, or None for no dropout.
+        The tweets keep the batch's order, which the masks follow.
         """
         p, cfg = self.params, self.cfg
-        ids, lengths, room = _pack(id_lists, cfg.m_max)
+        ids, lengths = _pack(id_lists, cfg.m_max)
+        starts = np.cumsum(lengths) - lengths
         input_mask, head_masks = (None, {}) if masks is None else masks
         conv_w = self._conv_weights()
         # each distinct id goes through every bank and offset once
@@ -394,19 +386,22 @@ class CnnModel:
         emb_u = p["emb"][u]
         proj = _project(emb_u, conv_w)
 
-        saved = {"u": u, "inv": inv, "emb_u": emb_u, "conv_w": conv_w,
+        saved = {"u": u, "inv": inv, "emb_u": emb_u, "conv_w": conv_w, "starts": starts,
                  "input_mask": input_mask, "head_masks": head_masks, "ids": ids}
         pooled_parts = []
         col = 0
         for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
-            rows = np.flatnonzero(room >= h)  # window starts
-            at = rows + np.arange(h)[:, None]  # (offset, window) -> packed position
-            counts = lengths - h + 1
-            first = np.cumsum(counts) - counts
-            z, pooled = _window_pool(proj[:, col : col + h * count], inv[at], first,
-                                     p[f"conv{h}_b"], None if masks is None else input_mask[at])
+            at = _windows(starts, lengths, h)
+
+            def term(j):
+                gathered = proj[inv[at + j], col + j * count : col + (j + 1) * count]
+                if input_mask is not None:  # the gather is a fresh array: scale it in place
+                    gathered *= input_mask[at + j][..., None]
+                return gathered
+
+            z, pooled = _window_pool(term, h, p[f"conv{h}_b"])
             col += h * count
-            saved[h] = {"rows": rows, "z": z, "pooled": pooled, "first": first, "counts": counts}
+            saved[h] = {"z": z, "pooled": pooled}
             pooled_parts.append(pooled)
 
         probs, acts, zs = self._dense_head(np.concatenate(pooled_parts, axis=1), head_masks)
@@ -423,7 +418,7 @@ class CnnModel:
     def _block_proba(self, id_lists: Sequence) -> np.ndarray:
         """P(HOF) per tweet of one inference block; see the module docstring."""
         p, cfg = self.params, self.cfg
-        ids, lengths, _ = _pack(id_lists, cfg.m_max)
+        ids, lengths = _pack(id_lists, cfg.m_max)
         u, inv = np.unique(ids, return_inverse=True)
         emb_u = p["emb"][u]
         starts = np.cumsum(lengths) - lengths
@@ -434,9 +429,7 @@ class CnnModel:
             runs = []  # per INFER_BATCH tweets in length order: them, and per offset their reads
             for r0 in range(0, len(order), INFER_BATCH):
                 tweets = order[r0 : r0 + INFER_BATCH]
-                counts = lengths[tweets] - h + 1
-                # (tweet, window) -> packed start; windows past a tweet's last repeat it
-                at = starts[tweets, None] + np.minimum(np.arange(counts[-1]), counts[:, None] - 1)
+                at = _windows(starts[tweets], lengths[tweets], h)
                 runs.append((tweets, [inv[at + j] * h + j for j in range(h)]))
             for lo in range(0, count, INFER_SLICE):
                 hi = min(lo + INFER_SLICE, count)
@@ -444,12 +437,8 @@ class CnnModel:
                 proj = _project(emb_u, self._filter_rows(h, lo, hi)).reshape(-1, hi - lo)
                 bias = p[f"conv{h}_b"][lo:hi]
                 for tweets, reads in runs:
-                    z = proj.take(reads[0], axis=0)  # (tweets, windows, filters)
-                    for read in reads[1:]:
-                        z += proj.take(read, axis=0)
-                    z += bias
-                    # a repeated window leaves the max as it is; pool, then ReLU
-                    pooled[tweets, col + lo : col + hi] = np.maximum(z.max(axis=1), 0.0)
+                    pooled[tweets, col + lo : col + hi] = _window_pool(
+                        lambda j: proj.take(reads[j], axis=0), h, bias)[1]
                 del proj  # else it lives on while the next slice's is computed
             col += count
         return self._dense_head(pooled, {})[0]
@@ -512,19 +501,21 @@ class CnnModel:
 
         # dz is non-zero only at each (tweet, filter) argmax window; scatter it,
         # times the input mask, onto the projection of every id the window reads
-        u, inv, input_mask = saved["u"], saved["inv"], saved["input_mask"]
+        u, inv, input_mask, starts = saved["u"], saved["inv"], saved["input_mask"], saved["starts"]
         width = len(saved["conv_w"])
         targets, values = [], []
         offset = col = 0
         for h, count in zip(FILTER_HEIGHTS, cfg.filter_counts):
             dpooled = dpooled_all[:, offset : offset + count]
             offset += count
-            z, rows = saved[h]["z"], saved[h]["rows"]
-            arg = _first_argmax(saved[h])
+            z, pooled = saved[h].pop("z"), saved[h]["pooled"]
+            # the first window whose ReLU value is the pooled max: never a repeated
+            # window, and where the max is 0 the tweet's first window, not z's argmax
+            start = starts[:, None] + np.maximum(z, 0.0, out=z).argmax(axis=1)
+            del z  # before d_proj is allocated
             cols = np.arange(count)
-            dz = dpooled * (z[arg, cols] > 0)
+            dz = dpooled * (pooled > 0)
             grads[f"conv{h}_b"] = dz.sum(axis=0)
-            start = rows[arg]
             for j in range(h):
                 targets.append(inv[start + j] * width + col + cols)
                 values.append(dz if input_mask is None else dz * input_mask[start + j])

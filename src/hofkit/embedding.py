@@ -15,6 +15,7 @@ deterministic: the same seed gives the same bytes.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,8 +29,6 @@ __all__ = [
     "EmbeddingConfig",
     "EmbeddingMatrix",
     "train",
-    "cosine",
-    "nearest",
     "save_text",
     "load_text",
     "load_words",
@@ -200,33 +199,6 @@ def train(
     return EmbeddingMatrix(w_in, w_out, losses)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; rejects zero vectors."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine is undefined for zero vectors")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
-def nearest(word: str, vocab: Vocabulary, matrix: EmbeddingMatrix, k: int) -> list:
-    """Top-k neighbours of a word by cosine over the input vectors.
-
-    The query itself is excluded; exact ties are broken by vocabulary id. A
-    zero vector (such as the reserved rows ``load_text`` prepends) scores 0.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if word not in vocab:
-        raise ValueError(f"query word {word!r} is not in the vocabulary")
-    qid = vocab.word_to_id[word]
-    norms = np.linalg.norm(matrix.w_in, axis=1)
-    unit = matrix.w_in / np.where(norms > 0.0, norms, 1.0)[:, None]
-    sims = np.clip(unit @ unit[qid], -1.0, 1.0)
-    order = np.argsort(-sims, kind="stable")
-    return [(vocab.word_of(int(wid)), float(sims[wid])) for wid in order[order != qid][:k]]
-
-
 def save_text(matrix: EmbeddingMatrix, vocab: Vocabulary, path) -> None:
     """Write the input vectors in the classic text interchange format.
 
@@ -253,26 +225,45 @@ def _read_header(fh) -> tuple[int, int]:
         raise ValueError(f"malformed header {header!r}, expected 'V dim'") from None
 
 
+def _check_row(line: str, lineno: int, dim: int) -> None:
+    """Raise the defect of one row line of a vectors file, if it has one.
+
+    A row holds a word and ``dim`` values, one space apart. It may not hold
+    U+001C..U+001F: ``np.loadtxt`` strips them around a value, where
+    ``float()`` rejects them.
+    """
+    if line.count(" ") != dim:
+        raise ValueError(f"expected {dim + 1} columns, got {line.count(' ') + 1}, line {lineno}")
+    if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+        char = next(c for c in line if "\x1c" <= c <= "\x1f")
+        raise ValueError(f"control character U+{ord(char):04X}, line {lineno}")
+
+
 def _rows(fh, v: int, dim: int, words: list):
     """Yield each row line of a vectors file and append its word to ``words``.
 
-    Checks the columns of every row and, once the file is drained, the row
+    Checks every row (``_check_row``) and, once the file is drained, the row
     count, so a file with no rows fails here before a parser sees it empty.
-    A row may not hold U+001C..U+001F: ``np.loadtxt`` strips them around a
-    value, where ``float()`` rejects them.
     """
     for lineno, line in enumerate(fh, start=2):
-        if line.count(" ") != dim:
-            raise ValueError(
-                f"expected {dim + 1} columns, got {line.count(' ') + 1}, line {lineno}"
-            )
-        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
-            char = next(c for c in line if "\x1c" <= c <= "\x1f")
-            raise ValueError(f"control character U+{ord(char):04X}, line {lineno}")
+        _check_row(line, lineno, dim)
         words.append(line.partition(" ")[0].rstrip("\n"))
         yield line
     if len(words) != v:
         raise ValueError(f"header declares {v} rows but file has {len(words)}")
+
+
+def _check_lines(text: str) -> None:
+    """Raise the first defect of ``text``, the lines of a vectors file above an invalid byte.
+
+    The readers decode ahead of the rows they have checked, so this puts a
+    defect above the byte first. The row count is not checked: only a
+    drained file can fail it.
+    """
+    fh = io.StringIO(text, newline=None)  # the readers' universal newlines
+    _, dim = _read_header(fh)
+    for lineno, line in enumerate(fh, start=2):
+        _check_row(line, lineno, dim)
 
 
 def _vocabulary(words: list) -> Vocabulary:
@@ -290,7 +281,7 @@ def load_words(path) -> Vocabulary:
     pad/unknown words; those get prepended so ids 0/1 keep their meaning.
     """
     words = []
-    with open(path, encoding="utf-8") as fh, utf8_line_errors(path):
+    with open(path, encoding="utf-8") as fh, utf8_line_errors(path, check_before=_check_lines):
         v, dim = _read_header(fh)
         for _ in _rows(fh, v, dim, words):
             pass
@@ -306,7 +297,7 @@ def load_text(path) -> tuple[EmbeddingMatrix, Vocabulary]:
     vectors.
     """
     words = []
-    with open(path, encoding="utf-8") as fh, utf8_line_errors(path):
+    with open(path, encoding="utf-8") as fh, utf8_line_errors(path, check_before=_check_lines):
         v, dim = _read_header(fh)
         rows = _rows(fh, v, dim, words)
         if v and dim:  # else no values: loadtxt would warn (V 0) or drop empty words (dim 0)

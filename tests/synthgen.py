@@ -8,6 +8,8 @@ and only token order separates the classes.
 
 import itertools
 
+import numpy as np
+
 from hofkit import corpus
 from hofkit.seeding import derived_rng
 
@@ -89,9 +91,17 @@ def two_clique_corpus(n_sentences=5000, seed=7):
     return streams, cliques
 
 
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity in [-1, 1]; rejects zero vectors."""
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine is undefined for zero vectors")
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
 def clique_margin(matrix, vocab, cliques):
     """Mean intra-clique cosine minus mean inter-clique cosine."""
-    from hofkit.embedding import cosine
 
     def mean_cos(pairs):
         sims = [

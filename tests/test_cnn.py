@@ -83,6 +83,43 @@ def dense_emb_grad(ids, dx, vocab_size):
     return grad
 
 
+def first_argmax(bank: dict) -> np.ndarray:
+    """Per tweet and filter, the least packed window whose ReLU value equals the pooled max.
+
+    ``bank`` is one filter height's entry of ``packed_forward``'s intermediates;
+    the result holds packed window indices, shape (tweets, filters).
+    """
+    z, pooled, first = bank["z"], bank["pooled"], bank["first"]
+    window = np.arange(len(z))[:, None]
+    hits = np.maximum(z, 0.0) == np.repeat(pooled, bank["counts"], axis=0)
+    return np.minimum.reduceat(np.where(hits, window, len(z)), first, axis=0)
+
+
+def packed_window_pool(proj, reads, first, bias) -> np.ndarray:
+    """One bank's pooled ReLU maxima over packed tweets, pooled by ``np.maximum.reduceat``.
+
+    ``reads[j]`` holds the row of ``proj`` each window reads at offset j, and
+    ``first`` the index of each tweet's first window.
+    """
+    count = len(bias)
+    z = proj[reads[0], :count]
+    for j, read in enumerate(reads[1:], start=1):
+        z += proj[read, j * count : (j + 1) * count]
+    z += bias
+    return np.maximum(np.maximum.reduceat(z, first, axis=0), 0.0)
+
+
+def real_windows(model, id_lists, z, h) -> np.ndarray:
+    """The windows of the model's padded bank-h ``z`` that are no repeat, stacked as packed."""
+    counts = np.array(padded_lengths(model, id_lists)) - h + 1
+    return np.concatenate([zt[:n] for zt, n in zip(z, counts)])
+
+
+def model_argmax(z) -> np.ndarray:
+    """Per tweet and filter, the window of the padded ``z`` that ``batch_loss_grads`` routes to."""
+    return np.maximum(z, 0.0).argmax(axis=1)
+
+
 def packed_forward(model, id_lists, masks=None):
     """The im2col convolution: each window's rows stacked into one matrix row.
 
@@ -141,7 +178,7 @@ def packed_loss_grads(model, batch, masks=None):
         dpooled = dpooled_all[:, offset : offset + count]
         offset += count
         z, rows = saved[h]["z"], saved[h]["rows"]
-        arg = cnn._first_argmax(saved[h])
+        arg = first_argmax(saved[h])
         cols = np.arange(count)
         dz = np.zeros_like(z)
         dz[arg, cols] = dpooled * (z[arg, cols] > 0)
@@ -165,7 +202,8 @@ def packed_block_proba(model, id_lists):
     ``np.maximum.reduceat`` pools each tweet's windows.
     """
     p, cfg = model.params, model.cfg
-    ids, lengths, room = cnn._pack(id_lists, cfg.m_max)
+    ids, lengths = cnn._pack(id_lists, cfg.m_max)
+    room = np.concatenate([np.arange(n, 0, -1) for n in lengths])
     u, inv = np.unique(ids, return_inverse=True)
     emb_u = p["emb"][u]
     ends = np.cumsum(lengths)
@@ -185,8 +223,8 @@ def packed_block_proba(model, id_lists):
             proj = cnn._project(emb_u, model._filter_rows(h, lo, hi))
             bias = p[f"conv{h}_b"][lo:hi]
             for t0, reads, first in runs:
-                pooled[t0 : t0 + len(first), col + lo : col + hi] = cnn._window_pool(
-                    proj, reads, first, bias)[1]
+                pooled[t0 : t0 + len(first), col + lo : col + hi] = packed_window_pool(
+                    proj, reads, first, bias)
         col += count
     return model._dense_head(pooled, {})[0]
 
@@ -294,13 +332,13 @@ class TestMaxPool:
         _, c = model._forward([ids])
         t = embed_and_pad(ids, model.params["emb"], model.cfg.m_max)
         for h, count in zip(cnn.FILTER_HEIGHTS, model.cfg.filter_counts):
-            argmax = cnn._first_argmax(c[h])
+            argmax = model_argmax(c[h]["z"])
             for ci in range(count):
                 w = model.params[f"conv{h}_w"][ci].reshape(h, -1)
                 b = float(model.params[f"conv{h}_b"][ci])
                 feats = [conv_feature(w, b, t, k) for k in range(t.shape[0] - h + 1)]
                 value, arg = max_pool(feats)
-                a = np.maximum(c[h]["z"][:, ci], 0.0)
+                a = np.maximum(c[h]["z"][0, :, ci], 0.0)
                 assert value == pytest.approx(float(a.max()))
                 assert arg == int(argmax[0, ci])
 
@@ -464,9 +502,11 @@ class TestProjectionMatchesPackedOracle:
             probs, saved = model._forward(id_lists, masks)
             assert np.abs(probs - packed_forward(model, id_lists, masks)[0]).max() < tol
             for h in cnn.FILTER_HEIGHTS:
-                assert _relative(saved[h]["z"], oracle[h]["z"]) < tol, h
+                z = saved[h]["z"]
+                assert _relative(real_windows(model, id_lists, z, h), oracle[h]["z"]) < tol, h
                 assert _relative(saved[h]["pooled"], oracle[h]["pooled"]) < tol, h
-                assert np.array_equal(cnn._first_argmax(saved[h]), cnn._first_argmax(oracle[h]))
+                arg = oracle[h]["first"][:, None] + model_argmax(z)  # as packed window indices
+                assert np.array_equal(arg, first_argmax(oracle[h]))
 
             loss, grads = model.batch_loss_grads(batch, masks)
             assert abs(loss - want_loss) < tol
@@ -559,6 +599,41 @@ class TestPaddedPoolMatchesPackedOracle:
         zero = model._dense_head(np.zeros((1, model.cfg.pooled_width), dtype=dtype), {})[0]
         assert np.array_equal(probs[[1, 3]], np.repeat(zero, 2))
         assert probs[0] == probs[2] != probs[1]
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+@pytest.mark.parametrize("h", cnn.FILTER_HEIGHTS)
+def test_ties_route_to_the_first_window_never_a_repeated_one(h, overflow):
+    # every word row is the same and every bias positive, so the windows over
+    # words of a tweet tie; bank h alone reaches the embedding, and the batch's
+    # shorter tweets, last in it, have repeated windows. With the weights
+    # negative, every window over words pools to ReLU 0 while one over the pad
+    # row is larger in z, and a huge head overflows d(pooled) to inf, so
+    # inf * 0 puts NaN on the rows of whichever window the argmax names
+    model, rng = small_model(seed=8, dtype=np.float32, vocab=30)
+    m_max = model.cfg.m_max
+    words = iter(rng.permutation(np.arange(2, 30)))
+    sizes = [m_max + 5, m_max, cnn.M_MIN - 1, 0]
+    batch = [EncodedExample(tuple(int(next(words)) for _ in range(n)), i % 2)
+             for i, n in enumerate(sizes)]
+    p = model.params
+    p["emb"][2:] = 1.0
+    col = 0
+    for height, count in zip(cnn.FILTER_HEIGHTS, model.cfg.filter_counts):
+        p[f"conv{height}_w"][:] = (-1.0 if overflow else 1.0) if height == h else 0.0
+        p[f"conv{height}_b"][:] = 0.5
+        if overflow:
+            p["dense_w"][col : col + count] = 1e30 if height == h else 0.0
+        col += count
+    if overflow:
+        p["dense_b"][:], p["out_w"][:], p["out_b"][:] = 1e-30, 1e30, -model.cfg.dense_units
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = model.batch_loss_grads(batch)
+    assert np.isfinite(loss)
+    reached = set(np.flatnonzero(np.asarray(grads["emb"]).any(axis=1)).tolist())
+    assert reached == {i for ex in batch for i in ex.ids[:h]}
+    if overflow:
+        assert np.isnan(np.asarray(grads["emb"])[sorted(reached)]).all()
 
 
 def test_inference_peak_memory_is_one_filter_slice_of_the_block_ids():

@@ -10,16 +10,14 @@ from hofkit import corpus, embedding
 from hofkit.embedding import (
     EmbeddingConfig,
     EmbeddingMatrix,
-    cosine,
     load_text,
     load_words,
-    nearest,
     save_text,
     train,
 )
 from hofkit.seeding import derived_rng
 
-from synthgen import clique_margin, two_clique_corpus
+from synthgen import clique_margin, cosine, two_clique_corpus
 
 
 def encode_streams(streams, min_count=1):
@@ -397,61 +395,6 @@ class TestCosine:
             cosine(np.zeros(3), np.ones(3))
 
 
-class TestNearest:
-    def _fixture(self):
-        vocab = corpus.build_vocab([["a", "b", "c"]], min_count=1)
-        w_in = np.array(
-            [
-                [1.0, 0.0],  # xxpad
-                [0.0, 1.0],  # xxunk
-                [1.0, 0.1],  # a
-                [1.0, 0.2],  # b
-                [-1.0, 0.0],  # c
-            ]
-        )
-        return vocab, EmbeddingMatrix(w_in)
-
-    def test_excludes_query_and_ranks(self):
-        vocab, m = self._fixture()
-        result = nearest("a", vocab, m, 2)
-        # cos(a,b) = 1.02/sqrt(1.01*1.04) ~ 0.99523 beats cos(a,xxpad) ~ 0.99504
-        assert [w for w, _ in result] == ["b", "xxpad"]
-        assert result[0][1] > result[1][1]
-        assert "a" not in [w for w, _ in result]
-
-    def test_k_zero_errors(self):
-        vocab, m = self._fixture()
-        with pytest.raises(ValueError):
-            nearest("a", vocab, m, 0)
-
-    def test_oov_query_errors(self):
-        vocab, m = self._fixture()
-        with pytest.raises(ValueError):
-            nearest("missing", vocab, m, 1)
-
-    def test_unk_query_is_valid(self):
-        vocab, m = self._fixture()
-        assert len(nearest("xxunk", vocab, m, 3)) == 3
-
-    def test_tie_breaks_by_id(self):
-        vocab = corpus.build_vocab([["a", "b"]], 1)
-        w_in = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        m = EmbeddingMatrix(w_in)
-        result = nearest("b", vocab, m, 2)
-        assert [w for w, _ in result] == ["xxunk", "a"]
-
-
-    def test_zero_rows_of_a_file_without_reserved_words_score_zero(self, tmp_path):
-        path = tmp_path / "vec.txt"
-        path.write_text("3 2\na 1.0 0.0\nb 1.0 0.1\nc -1.0 0.0\n", encoding="utf-8")
-        m, vocab = load_text(path)
-        assert vocab.words[:2] == ["xxpad", "xxunk"] and not m.w_in[:2].any()
-        result = nearest("a", vocab, m, 4)
-        assert [w for w, _ in result] == ["b", "xxpad", "xxunk", "c"]
-        assert result[0][1] == pytest.approx(1.0 / np.sqrt(1.01))
-        assert [sim for _, sim in result[1:]] == [0.0, 0.0, -1.0]
-
-
 class TestTextFormat:
     def test_roundtrip_within_tolerance(self, tmp_path):
         streams, _ = two_clique_corpus(50, seed=1)
@@ -537,6 +480,28 @@ class TestTextFormat:
         rows = "".join(f"w{i} 0 1\n" for i in range(good_rows))
         p.write_bytes(f"{good_rows + 1} 2\n{rows}".encode() + b"w\xff 1 2\n")
         with pytest.raises(ValueError, match=rf"byte 0xff is not UTF-8 .*, line {good_rows + 2}$"):
+            reader(p)
+
+    @pytest.mark.parametrize(
+        "head, needle",
+        [
+            ("60 2\nw0 0.1\n", "expected 3 columns, got 2, line 2"),
+            ("60 2\nw0 0 1\nw\x1f 0 1\n", "control character U[+]001F, line 3"),
+            ("60\nw0 0 1\n", "malformed header"),
+        ],
+        ids=["columns", "control", "header"],
+    )
+    @pytest.mark.parametrize("reader", [load_words, load_text])
+    def test_a_defect_above_an_invalid_byte_is_reported_first(
+        self, tmp_path, reader, head, needle
+    ):
+        # the byte lies in the first chunk the reader decodes, so the decoder
+        # meets it before any row above it is checked
+        p = tmp_path / "vec.txt"
+        rows = "".join(f"w{i} 0 1\n" for i in range(head.count("\n"), 50))
+        p.write_bytes((head + rows).encode() + b"w\xff 1 2\n")
+        assert p.read_bytes().count(b"\n", 0, p.read_bytes().index(b"\xff")) == 50
+        with pytest.raises(ValueError, match=f"^{needle}"):
             reader(p)
 
     def test_load_words_ignores_the_values(self, tmp_path):
