@@ -221,7 +221,8 @@ class EncodedExample:
 
 def encode(tokens: Sequence[str], vocab: Vocabulary, label: Optional[int] = None) -> EncodedExample:
     """Map tokens to ids; out-of-vocabulary tokens map to the unknown id."""
-    return EncodedExample(tuple(vocab.id_of(t) for t in tokens), label)
+    get = vocab.word_to_id.get
+    return EncodedExample(tuple([get(t, UNK_ID) for t in tokens]), label)
 
 
 def encode_dataset(ds: Dataset, vocab: Vocabulary) -> list[EncodedExample]:

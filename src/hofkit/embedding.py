@@ -9,14 +9,20 @@ distribution raised to 3/4) away.
 Training takes one SGD step per tweet (sentence batching, as in Ji et al.
 2016, "Parallelizing Word2Vec in Shared and Distributed Memory"): all of a
 tweet's examples read the tables as they were before the step, and the
-step writes each distinct row once. The trainer is single-threaded and
-deterministic: the same seed gives the same bytes.
+step writes each distinct row once. The corpus is walked in blocks of whole
+tweets of about ``BLOCK_EXAMPLES`` examples; what does not read the tables
+(learning rates, noise draws, target/noise ids, sign and loss masks, each
+tweet's distinct rows) is computed once per block before its steps. The
+trainer is single-threaded and deterministic: the same seed gives the same
+bytes.
 """
 
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +42,9 @@ __all__ = [
 
 NOISE_POWER = 0.75
 LR_FINAL_FRACTION = 0.1  # linear decay from initial_lr down to initial_lr/10
+# examples per block of whole tweets in train: only one block's bookkeeping
+# is alive at a time, so this bounds what train holds beside its tables
+BLOCK_EXAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -74,11 +83,9 @@ class EmbeddingMatrix:
 
 
 def _noise_table(corpus: Sequence[EncodedExample], vocab_size: int) -> np.ndarray:
-    counts = np.zeros(vocab_size, dtype=np.float64)
-    for ex in corpus:
-        for wid in ex.ids:
-            counts[wid] += 1.0
-    weights = counts**NOISE_POWER
+    """Cumulative unigram counts raised to ``NOISE_POWER``, to draw noise words from."""
+    ids = np.fromiter(chain.from_iterable(ex.ids for ex in corpus), dtype=np.intp)
+    weights = np.bincount(ids, minlength=vocab_size).astype(np.float64) ** NOISE_POWER
     total = weights.sum()
     if total <= 0.0:
         raise ValueError("corpus contains no tokens")
@@ -98,7 +105,8 @@ def _examples(ids: np.ndarray, window: int, skipgram: bool):
     CBOW has one example per position, whose hidden vector is the mean of its
     context rows. Skip-gram has one per (center, context) pair, centers in
     order and each center's context positions in order, and its hidden
-    vector is the center row.
+    vector is the center row. ``train`` passes ``np.arange(L)`` for ``ids``,
+    so the targets are positions.
     """
     band = _context_band(len(ids), window)
     if skipgram:
@@ -107,41 +115,111 @@ def _examples(ids: np.ndarray, window: int, skipgram: bool):
     return band / band.sum(axis=1, keepdims=True), ids, np.arange(len(ids))
 
 
-def _contrastive(h, w_out, out_ids):
+def _block(tweets, examples: dict, negatives: int, cum: np.ndarray, rng):
+    """A block's ids, operators, window positions and target and noise ids.
+
+    ``examples`` maps a tweet length to ``_examples`` of its positions. Gives
+    the tweets' ids one after another, each tweet's operator, and for every
+    example the position of its window among those ids and its ``out_ids``
+    row: the target, then ``negatives`` noise words. The noise words of the
+    whole block come from one ``rng.random`` call; PCG64 makes each double
+    from one 64-bit word, so they are the numbers one call per tweet draws.
+    """
+    lengths = [len(ids) for ids in tweets]
+    ids = np.fromiter(chain.from_iterable(tweets), np.intp, sum(lengths))
+    block = [examples[n] for n in lengths]
+    first = np.repeat(np.cumsum(lengths) - lengths, [len(op) for op, _, _ in block])
+    targets = ids[np.concatenate([target for _, target, _ in block]) + first]
+    draws = cum.searchsorted(rng.random(len(targets) * negatives) * cum[-1])
+    out_ids = np.column_stack([targets, draws.reshape(len(targets), negatives)])
+    position = first + np.concatenate([center for _, _, center in block])
+    return ids, [op for op, _, _ in block], position, out_ids
+
+
+def _distinct(group: np.ndarray, ids: np.ndarray, vocab_size: int):
+    """``np.unique(ids, return_inverse=True)`` within each group, for all groups at once.
+
+    ``group`` numbers each id's group, 0, 1, ... in order. One ``np.unique``
+    over ``group * vocab_size + id`` keys sorts by group and then by id, so
+    group t's distinct ids are ``rows[bounds[t]:bounds[t + 1]]`` in ascending
+    order and ``slot`` is each id's index among its group's.
+    """
+    keys, inverse = np.unique(group * vocab_size + ids, return_inverse=True)
+    bounds = keys.searchsorted(np.arange(group[-1] + 2) * vocab_size)
+    return keys % vocab_size, inverse - bounds[group], bounds.tolist()
+
+
+def _plans(ids: np.ndarray, ops: list, out_ids: np.ndarray, lr: np.ndarray, vocab_size: int):
+    """Yield the ``_tweet_step`` arguments after the tables, tweet by tweet, for a block.
+
+    ``ids`` holds the block's tweets one after another and ``ops`` the
+    ``_examples`` operator of each; ``out_ids`` and ``lr`` hold the target and
+    noise ids and the learning rate of every example, tweet after tweet. What
+    does not read the tables is computed here once for the whole block: the
+    sign of each draw and the draws the loss counts (``_contrastive``), each
+    tweet's distinct rows of either table, and the slots of its ids and
+    draws among them.
+    """
+    lengths = [op.shape[1] for op in ops]
+    counts = [len(op) for op in ops]
+    sign = np.ones(out_ids.shape)
+    sign[:, 0] = -1.0
+    sign[:, 1:][out_ids[:, 1:] == out_ids[:, :1]] = 0.0
+    scored = sign != 0.0
+    tweet = np.arange(len(ops))
+    rows, slot, row_bounds = _distinct(np.repeat(tweet, lengths), ids, vocab_size)
+    draw_tweet = np.repeat(tweet, np.multiply(counts, out_ids.shape[1]))
+    out_rows, out_slot, out_bounds = _distinct(draw_tweet, out_ids.ravel(), vocab_size)
+    out_slot = out_slot.reshape(out_ids.shape)
+    ids_at = example_at = 0
+    for t, (op, n, e) in enumerate(zip(ops, lengths, counts)):
+        tweet_ids = slice(ids_at, ids_at + n)
+        tweet_examples = slice(example_at, example_at + e)
+        one_hot = slot[tweet_ids] == np.arange(row_bounds[t + 1] - row_bounds[t])[:, None]
+        yield (
+            ids[tweet_ids], op, out_ids[tweet_examples], lr[tweet_examples], sign[tweet_examples],
+            scored[tweet_examples], rows[row_bounds[t]:row_bounds[t + 1]], one_hot,
+            out_rows[out_bounds[t]:out_bounds[t + 1]], out_slot[tweet_examples],
+        )
+        ids_at += n
+        example_at += e
+
+
+def _contrastive(h, w_out, out_ids, sign, scored):
     """Summed loss of E examples, d(loss)/d(score) per draw, and d(loss)/dh.
 
     Row e of ``out_ids`` holds example e's target, then its k noise words,
     each scored against ``h[e]``. The loss is softplus(-score) for the target
-    and softplus(score) for a noise word; a noise word equal to its target
-    is skipped, a repeated one counts twice.
+    and softplus(score) for a noise word. ``sign`` is -1 for the target, 1
+    for a noise word and 0 for a noise word equal to its target, which is
+    skipped (a repeated one counts twice); ``scored`` marks the draws that
+    are not skipped.
     """
-    w = w_out[out_ids]  # (E, 1 + k, dim)
-    # d(loss)/d(score) = sign * sigmoid(sign * score), sign 0 for a skipped word
-    sign = np.ones(out_ids.shape)
-    sign[:, 0] = -1.0
-    sign[:, 1:][out_ids[:, 1:] == out_ids[:, :1]] = 0.0
+    w = w_out.take(out_ids, axis=0)  # (E, 1 + k, dim)
+    # d(loss)/d(score) = sign * sigmoid(sign * score)
     z = sign * np.einsum("ed,ejd->ej", h, w)
     g = sign * (0.5 + 0.5 * np.tanh(0.5 * z))
-    return float(np.logaddexp(0.0, z)[sign != 0.0].sum()), g, np.einsum("ej,ejd->ed", g, w)
+    return float(np.logaddexp(0.0, z)[scored].sum()), g, np.einsum("ej,ejd->ed", g, w)
 
 
-def _tweet_step(w_in, w_out, ids, op, out_ids, lr) -> float:
+def _tweet_step(
+    w_in, w_out, ids, op, out_ids, lr, sign, scored, rows, one_hot, out_rows, out_slot
+) -> float:
     """One SGD step over a tweet's E examples; returns their summed loss.
 
     Example e has the hidden vector ``op[e] @ w_in[ids]``, the target and
-    noise words ``out_ids[e]`` and the learning rate ``lr[e]``. Every example
-    reads the tables as they were before the step, and each distinct row of
-    either table is written once.
+    noise words ``out_ids[e]`` and the learning rate ``lr[e]``; the other
+    arguments are ``_plans``' bookkeeping. Every example reads the tables as
+    they were before the step, and each distinct row of either table is
+    written once.
     """
-    x = w_in[ids]  # (L, dim)
-    loss, g, dh = _contrastive(op @ x, w_out, out_ids)
-    rows, slot = np.unique(ids, return_inverse=True)
-    w_in[rows] -= ((slot == np.arange(len(rows))[:, None]) @ op.T) @ (lr[:, None] * dh)
+    x = w_in.take(ids, axis=0)  # (L, dim)
+    loss, g, dh = _contrastive(op @ x, w_out, out_ids, sign, scored)
+    w_in[rows] -= (one_hot @ op.T) @ (lr[:, None] * dh)
     # m[u, l] sums lr[e] * g[e, j] * op[e, l] over the draws (e, j) of
     # out_rows[u], so row u of m @ x sums lr[e] * g[e, j] * h[e] over them
-    out_rows, out_slot = np.unique(out_ids, return_inverse=True)
     n = len(ids)
-    flat = out_slot.reshape(out_ids.shape)[:, :, None] * n + np.arange(n)
+    flat = out_slot[:, :, None] * n + np.arange(n)
     weights = (lr[:, None] * g)[:, :, None] * op[:, None, :]
     m = np.bincount(flat.ravel(), weights.ravel(), len(out_rows) * n)
     w_out[out_rows] -= m.reshape(len(out_rows), n) @ x
@@ -161,6 +239,11 @@ def train(
     windows; each example gets the rate of its window. Returns the matrix
     pair with per-epoch mean losses (per window for CBOW, per pair for
     skip-gram) attached.
+
+    Each epoch walks the corpus in blocks of whole tweets of about
+    ``BLOCK_EXAMPLES`` examples; the learning rates, ``_block`` and
+    ``_plans`` do a block's work that does not read the tables before its
+    steps. Operators come from a memo keyed by tweet length.
     """
     if vocab_size < 1:
         raise ValueError("vocabulary is empty")
@@ -171,31 +254,31 @@ def train(
     w_out = np.zeros((vocab_size, cfg.dim), dtype=np.float64)
     cum = _noise_table(corpus, vocab_size)
 
-    steps_per_epoch = sum(len(ex.ids) for ex in corpus if len(ex.ids) >= 2)
-    total_steps = max(cfg.epochs * steps_per_epoch, 1)
+    tweets = [ex.ids for ex in corpus if len(ex.ids) >= 2]  # a one-token tweet has no window
+    examples = {  # tweet length -> operator, target and center positions
+        n: _examples(np.arange(n), cfg.window, cfg.objective == "skipgram")
+        for n in {len(ids) for ids in tweets}
+    }
+    counts = np.array([len(examples[len(ids)][0]) for ids in tweets], dtype=np.intp)
+    # a tweet opens a block when the examples before it pass a multiple of BLOCK_EXAMPLES
+    before = np.cumsum(counts) - counts
+    bounds = np.flatnonzero(np.diff(before // BLOCK_EXAMPLES, prepend=-1)).tolist() + [len(tweets)]
+    total_steps = max(cfg.epochs * sum(len(ids) for ids in tweets), 1)
 
     rng = derived_rng(seed, "embedding-train")
-    skipgram = cfg.objective == "skipgram"
     losses = []
     step = 0
     for _ in range(cfg.epochs):
         epoch_loss = 0.0
-        epoch_terms = 0
-        for ex in corpus:
-            if len(ex.ids) < 2:
-                continue
-            ids = np.asarray(ex.ids)
-            op, targets, center = _examples(ids, cfg.window, skipgram)
+        for a, b in zip(bounds, bounds[1:]):
+            ids, ops, position, out_ids = _block(tweets[a:b], examples, cfg.negatives, cum, rng)
             lr = cfg.initial_lr * (
-                1.0 - (1.0 - LR_FINAL_FRACTION) * (step + center) / max(total_steps - 1, 1)
+                1.0 - (1.0 - LR_FINAL_FRACTION) * (step + position) / max(total_steps - 1, 1)
             )
-            # one draw per tweet gives the numbers of one draw per example
-            negatives = cum.searchsorted(rng.random(len(op) * cfg.negatives) * cum[-1])
-            out_ids = np.column_stack([targets, negatives.reshape(len(op), cfg.negatives)])
-            epoch_loss += _tweet_step(w_in, w_out, ids, op, out_ids, lr)
-            epoch_terms += len(op)
+            for args in _plans(ids, ops, out_ids, lr, vocab_size):
+                epoch_loss += _tweet_step(w_in, w_out, *args)
             step += len(ids)
-        losses.append(epoch_loss / max(epoch_terms, 1))
+        losses.append(epoch_loss / max(int(counts.sum()), 1))
     return EmbeddingMatrix(w_in, w_out, losses)
 
 
@@ -253,17 +336,44 @@ def _rows(fh, v: int, dim: int, words: list):
         raise ValueError(f"header declares {v} rows but file has {len(words)}")
 
 
-def _check_lines(text: str) -> None:
-    """Raise the first defect of ``text``, the lines of a vectors file above an invalid byte.
+def _values(rows, dim: int, v: int) -> np.ndarray:
+    """The ``dim`` values of each of up to ``v`` row lines, parsed by ``np.loadtxt``."""
+    return np.loadtxt(
+        rows,
+        comments=None,  # a word may start with "#"
+        delimiter=" ",
+        usecols=range(1, dim + 1),
+        dtype=np.float64,
+        ndmin=2,
+        max_rows=v,  # allocated once at the declared size, not grown row block by block
+    )
 
-    The readers decode ahead of the rows they have checked, so this puts a
-    defect above the byte first. The row count is not checked: only a
+
+def _check_lines(text: str, values: bool = False) -> None:
+    """Raise the first defect of ``text``, the lines of a vectors file, naming its line.
+
+    Checks the header and each row, and with ``values`` also parses each
+    row's values on its own: ``np.loadtxt`` names a bad value by its row
+    among those it parsed, not by its line. The readers decode ahead of the
+    rows they have checked, so this puts a defect above an invalid byte
+    first. Error paths only call it. The row count is not checked: only a
     drained file can fail it.
     """
     fh = io.StringIO(text, newline=None)  # the readers' universal newlines
     _, dim = _read_header(fh)
     for lineno, line in enumerate(fh, start=2):
         _check_row(line, lineno, dim)
+        if values and dim:
+            try:
+                _values([line], dim, 1)
+            except ValueError as exc:
+                where = re.sub(r" at row \d+, (column \d+)\.$", r", \1", str(exc))
+                raise ValueError(f"{where}, line {lineno}") from None
+
+
+def _check_text(text: str) -> None:
+    """``_check_lines`` with the values, for ``load_text``."""
+    _check_lines(text, values=True)
 
 
 def _vocabulary(words: list) -> Vocabulary:
@@ -297,19 +407,16 @@ def load_text(path) -> tuple[EmbeddingMatrix, Vocabulary]:
     vectors.
     """
     words = []
-    with open(path, encoding="utf-8") as fh, utf8_line_errors(path, check_before=_check_lines):
+    with open(path, encoding="utf-8") as fh, utf8_line_errors(path, check_before=_check_text):
         v, dim = _read_header(fh)
         rows = _rows(fh, v, dim, words)
         if v and dim:  # else no values: loadtxt would warn (V 0) or drop empty words (dim 0)
-            w_in = np.loadtxt(
-                rows,
-                comments=None,  # a word may start with "#"
-                delimiter=" ",
-                usecols=range(1, dim + 1),
-                dtype=np.float64,
-                ndmin=2,
-                max_rows=v,  # allocated once at the declared size, not grown row block by block
-            )
+            try:
+                w_in = _values(rows, dim, v)
+            except ValueError:
+                with open(path, encoding="utf-8") as again:
+                    _check_text(again.read())  # names the line of a bad value
+                raise
         else:
             w_in = np.zeros((v, dim))
         for _ in rows:  # any rows past the declared count: _rows rejects them once drained

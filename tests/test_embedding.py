@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,81 @@ def oracle_step(w_in, w_out, ids, window, skipgram, window_lr, negatives):
         new_out -= window_lr[i] * g_out
         losses.append(loss)
     return losses, new_in, new_out
+
+
+# -- a frozen copy of the per-tweet trainer the block trainer replaced --
+
+
+def frozen_noise_table(corpus, vocab_size):
+    counts = np.zeros(vocab_size, dtype=np.float64)
+    for ex in corpus:
+        for wid in ex.ids:
+            counts[wid] += 1.0
+    weights = counts**0.75
+    return np.cumsum(weights)
+
+
+def frozen_examples(ids, window, skipgram):
+    gap = np.abs(np.subtract.outer(np.arange(len(ids)), np.arange(len(ids))))
+    band = (gap > 0) & (gap <= window)
+    if skipgram:
+        center, context = np.nonzero(band)
+        return np.eye(len(ids))[center], ids[context], center
+    return band / band.sum(axis=1, keepdims=True), ids, np.arange(len(ids))
+
+
+def frozen_contrastive(h, w_out, out_ids):
+    w = w_out[out_ids]
+    sign = np.ones(out_ids.shape)
+    sign[:, 0] = -1.0
+    sign[:, 1:][out_ids[:, 1:] == out_ids[:, :1]] = 0.0
+    z = sign * np.einsum("ed,ejd->ej", h, w)
+    g = sign * (0.5 + 0.5 * np.tanh(0.5 * z))
+    return float(np.logaddexp(0.0, z)[sign != 0.0].sum()), g, np.einsum("ej,ejd->ed", g, w)
+
+
+def frozen_tweet_step(w_in, w_out, ids, op, out_ids, lr):
+    x = w_in[ids]
+    loss, g, dh = frozen_contrastive(op @ x, w_out, out_ids)
+    rows, slot = np.unique(ids, return_inverse=True)
+    w_in[rows] -= ((slot == np.arange(len(rows))[:, None]) @ op.T) @ (lr[:, None] * dh)
+    out_rows, out_slot = np.unique(out_ids, return_inverse=True)
+    n = len(ids)
+    flat = out_slot.reshape(out_ids.shape)[:, :, None] * n + np.arange(n)
+    weights = (lr[:, None] * g)[:, :, None] * op[:, None, :]
+    m = np.bincount(flat.ravel(), weights.ravel(), len(out_rows) * n)
+    w_out[out_rows] -= m.reshape(len(out_rows), n) @ x
+    return loss
+
+
+def frozen_train(corpus, vocab_size, cfg, seed):
+    """The trainer before blocks, and the count of noise words equal to their target."""
+    init_rng = derived_rng(seed, "embedding-init")
+    w_in = init_rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(vocab_size, cfg.dim))
+    w_out = np.zeros((vocab_size, cfg.dim), dtype=np.float64)
+    cum = frozen_noise_table(corpus, vocab_size)
+    steps_per_epoch = sum(len(ex.ids) for ex in corpus if len(ex.ids) >= 2)
+    total_steps = max(cfg.epochs * steps_per_epoch, 1)
+    rng = derived_rng(seed, "embedding-train")
+    skipgram = cfg.objective == "skipgram"
+    losses, step, equal = [], 0, 0
+    for _ in range(cfg.epochs):
+        epoch_loss = 0.0
+        epoch_terms = 0
+        for ex in corpus:
+            if len(ex.ids) < 2:
+                continue
+            ids = np.asarray(ex.ids)
+            op, targets, center = frozen_examples(ids, cfg.window, skipgram)
+            lr = cfg.initial_lr * (1.0 - 0.9 * (step + center) / max(total_steps - 1, 1))
+            negatives = cum.searchsorted(rng.random(len(op) * cfg.negatives) * cum[-1])
+            out_ids = np.column_stack([targets, negatives.reshape(len(op), cfg.negatives)])
+            equal += int((out_ids[:, 1:] == out_ids[:, :1]).sum())
+            epoch_loss += frozen_tweet_step(w_in, w_out, ids, op, out_ids, lr)
+            epoch_terms += len(op)
+            step += len(ids)
+        losses.append(epoch_loss / max(epoch_terms, 1))
+    return EmbeddingMatrix(w_in, w_out, losses), equal
 
 
 class TestConfig:
@@ -256,7 +332,8 @@ class TestTweetStep:
         got_in, got_out = w_in.copy(), w_out.copy()
         out_ids = np.column_stack([targets, negatives])
         loss = embedding._tweet_step(
-            got_in, got_out, np.array(ids), op, out_ids, window_lr[center]
+            got_in, got_out,
+            *next(embedding._plans(np.array(ids), [op], out_ids, window_lr[center], 7)),
         )
         assert abs(loss - sum(losses)) <= 1e-12
         assert np.abs(got_in - want_in).max() <= 1e-12
@@ -300,6 +377,64 @@ class TestTweetStep:
         assert np.array_equal(m.w_in, init)
         assert not m.w_out.any()
         assert m.epoch_losses == [0.0, 0.0]
+
+
+class TestBlocks:
+    """The block trainer against the frozen per-tweet trainer, byte for byte."""
+
+    def _corpus(self):
+        # four words make repeated ids and noise words equal to their target certain
+        rng = derived_rng(0, "block-corpus")
+        words = ["a", "b", "c", "d"]
+        streams = [
+            tuple(words[i] for i in rng.integers(0, 4, size=rng.integers(1, 13)))
+            for _ in range(40)
+        ]
+        streams[:3] = [("a",), ("b", "b"), ("c",)]  # one-token tweets have no window
+        return encode_streams(streams)
+
+    @pytest.mark.parametrize("block", [1, 37, 10**9])  # 10**9: the corpus is one block
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("objective", ["cbow", "skipgram"])
+    def test_bitwise_equal_to_the_per_tweet_trainer(self, monkeypatch, objective, epochs, block):
+        encoded, vocab = self._corpus()
+        assert sum(len(ex.ids) == 1 for ex in encoded) >= 2
+        cfg = EmbeddingConfig(dim=6, window=2, epochs=epochs, negatives=4, objective=objective)
+        want, equal = frozen_train(encoded, len(vocab), cfg, seed=9)
+        assert equal > 0
+        monkeypatch.setattr(embedding, "BLOCK_EXAMPLES", block)
+        got = train(encoded, len(vocab), cfg, seed=9)
+        assert got.w_in.tobytes() == want.w_in.tobytes()
+        assert got.w_out.tobytes() == want.w_out.tobytes()
+        assert got.epoch_losses == want.epoch_losses
+
+    def test_noise_table_counts_as_the_loop_did(self):
+        encoded, vocab = self._corpus()
+        got = embedding._noise_table(encoded, len(vocab) + 2)  # two words the corpus lacks
+        assert got.tobytes() == frozen_noise_table(encoded, len(vocab) + 2).tobytes()
+
+    @pytest.mark.parametrize("objective", ["cbow", "skipgram"])
+    def test_peak_memory_stays_bounded_as_the_corpus_grows(self, objective):
+        # the bookkeeping of one block is alive at a time; a whole epoch's
+        # (a block as large as the corpus) needs about 24 MiB for CBOW here
+        words = [f"w{i}" for i in range(150)]
+        rng = derived_rng(1, "memory-corpus")
+        streams = [
+            tuple(words[i] for i in rng.integers(0, 150, size=rng.integers(10, 41)))
+            for _ in range(2000)
+        ]
+        cfg = EmbeddingConfig(dim=16, window=3, epochs=1, objective=objective)
+        for n in (200, 2000):
+            encoded, vocab = encode_streams(streams[:n])
+            train(encoded[:5], len(vocab), cfg, seed=1)  # first-call imports and caches
+            tracemalloc.start()
+            try:
+                train(encoded, len(vocab), cfg, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            tables = 2 * len(vocab) * cfg.dim * 8
+            assert peak - tables < 4 * 2**20, (n, peak - tables)
 
 
 _TRAIN_AND_HASH = """
@@ -503,6 +638,17 @@ class TestTextFormat:
         assert p.read_bytes().count(b"\n", 0, p.read_bytes().index(b"\xff")) == 50
         with pytest.raises(ValueError, match=f"^{needle}"):
             reader(p)
+
+    @pytest.mark.parametrize("tail", [b"", b"w\xff 1 2\n"], ids=["valid", "invalid-byte-below"])
+    @pytest.mark.parametrize("rows_below", [47, 3000])  # 3000 rows put the end past a read chunk
+    def test_a_bad_value_is_reported_with_its_line(self, tmp_path, tail, rows_below):
+        # np.loadtxt alone names the value's row among those it parsed (row 1)
+        p = tmp_path / "vec.txt"
+        rows = "".join(f"w{i} 0 1\n" for i in range(2, 2 + rows_below))
+        declared = 2 + rows_below + bool(tail)
+        p.write_bytes(f"{declared} 2\nw0 0 1\nw1 zero 1\n{rows}".encode() + tail)
+        with pytest.raises(ValueError, match=r"^could not convert string 'zero' .*, line 3$"):
+            load_text(p)
 
     def test_load_words_ignores_the_values(self, tmp_path):
         p = tmp_path / "vec.txt"
