@@ -144,6 +144,8 @@ def _require_seed(args, config) -> int:
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is None:
         raise ValueError("a seed is required (--seed or config key 'seed')")
+    if seed < 0:
+        raise ValueError(f"seed must be a whole number >= 0, got {seed}")
     return seed
 
 
@@ -160,14 +162,29 @@ def _flags(args, cls) -> dict:
     return {name: value for name, value in given if value is not None}
 
 
-def _suffix_table(args, config):
-    path = _pick(getattr(args, "suffixes", None), config, "suffixes", None)
-    return load_suffix_table(path) if path else None
+def _load_tsv(path, args, config, unlabelled=None) -> corpus.Dataset:
+    """The tweets of ``path``, stemmed with the run's suffix table.
+
+    Where ``unlabelled`` is given, a row without a label raises it as the error.
+    """
+    suffixes = _pick(args.suffixes, config, "suffixes", None)
+    ds = corpus.load_tsv(path, load_suffix_table(suffixes) if suffixes else None)
+    if unlabelled and any(ex.label is None for ex in ds):
+        raise ValueError(unlabelled)
+    return ds
 
 
-def cmd_preprocess(args) -> int:
-    config = _load_config(args.config)
-    ds = corpus.load_tsv(args.input, _suffix_table(args, config))
+def _write_table(lines, path) -> None:
+    """Print the table of ``lines``, and write it to ``path`` where given."""
+    table = "\n".join(lines)
+    if path:
+        with atomic_open(path) as fh:
+            fh.write(table + "\n")
+    print(table)
+
+
+def cmd_preprocess(args, config) -> int:
+    ds = _load_tsv(args.input, args, config)
     with atomic_open(args.output) as fh:
         for ex in ds:
             fh.write(" ".join(ex.tokens) + "\n")
@@ -175,8 +192,7 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_embed_train(args) -> int:
-    config = _load_config(args.config)
+def cmd_embed_train(args, config) -> int:
     seed = _require_seed(args, config)
     flags = _flags(args, embedding.EmbeddingConfig)
     cfg = embedding.EmbeddingConfig(**{**config["embedding"], **flags})
@@ -191,19 +207,37 @@ def cmd_embed_train(args) -> int:
     return 0
 
 
-def _model_config_from(config: dict, embed_dim: int) -> cnn.CnnConfig:
+def _fit_setup(args, config, needs: str, unlabelled: str, *required):
+    """The seed, tweets, vectors and model and training configs of ``train`` and ``cv``.
+
+    ``needs`` is the error when the data, the vectors or any of ``required``
+    is not given; ``unlabelled`` is the error for a row without a label.
+    """
+    seed = _require_seed(args, config)
+    data_path = _pick(args.data, config, "data", None)
+    emb_path = _pick(args.embeddings, config, "embeddings", None)
+    if not all((data_path, emb_path, *required)):
+        raise ValueError(needs)
+    ds = _load_tsv(data_path, args, config, unlabelled)
+    matrix, vocab = embedding.load_text(emb_path)
     model = config["model"]
-    if model.get("embed_dim", embed_dim) != embed_dim:
+    if model.get("embed_dim", matrix.dim) != matrix.dim:
         raise ValueError(
             f"config embed_dim {model['embed_dim']} does not match the "
-            f"embeddings file dim {embed_dim}"
+            f"embeddings file dim {matrix.dim}"
         )
     dropout = cnn.DropoutSpec(**config["dropout"])
-    return cnn.CnnConfig(**{"embed_dim": embed_dim, **model}, dropout=dropout)
+    model_cfg = cnn.CnnConfig(**{"embed_dim": matrix.dim, **model}, dropout=dropout)
+    train_cfg = cnn.TrainConfig(**{**config["train"], **_flags(args, cnn.TrainConfig), "seed": seed})
+    return seed, ds, matrix, vocab, model_cfg, train_cfg
 
 
-def _train_config_from(args, config: dict, seed: int) -> cnn.TrainConfig:
-    return cnn.TrainConfig(**{**config["train"], **_flags(args, cnn.TrainConfig), "seed": seed})
+def _train_val(ds, vocab, config, seed):
+    """``ds`` split as the config says, each part encoded with ``vocab``."""
+    val_fraction = config.get("val_fraction", 0.2)
+    stratify = config.get("stratify", False)
+    parts = corpus.split_train_val(ds, val_fraction, seed, stratify)
+    return [corpus.encode_dataset(part, vocab) for part in parts]
 
 
 def _write_history(path, history) -> None:
@@ -213,28 +247,14 @@ def _write_history(path, history) -> None:
             fh.write(f"{epoch}\t{loss:.6f}\t{f1:.6f}\n")
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    seed = _require_seed(args, config)
-    data_path = _pick(args.data, config, "data", None)
-    emb_path = _pick(args.embeddings, config, "embeddings", None)
+def cmd_train(args, config) -> int:
     out_path = _pick(args.out, config, "checkpoint", None)
-    if not data_path or not emb_path or not out_path:
-        raise ValueError("train needs --data, --embeddings, and --out")
+    seed, ds, matrix, vocab, model_cfg, train_cfg = _fit_setup(
+        args, config, "train needs --data, --embeddings, and --out",
+        "training data must be fully labelled", out_path,
+    )
     history_path = _pick(args.history, config, "history", out_path + ".history.tsv")
-
-    ds = corpus.load_tsv(data_path, _suffix_table(args, config))
-    if any(ex.label is None for ex in ds):
-        raise ValueError("training data must be fully labelled")
-    matrix, vocab = embedding.load_text(emb_path)
-    model_cfg = _model_config_from(config, matrix.dim)
-    train_cfg = _train_config_from(args, config, seed)
-
-    val_fraction = config.get("val_fraction", 0.2)
-    stratify = config.get("stratify", False)
-    train_ds, val_ds = corpus.split_train_val(ds, val_fraction, seed, stratify)
-    train_ex = corpus.encode_dataset(train_ds, vocab)
-    val_ex = corpus.encode_dataset(val_ds, vocab)
+    train_ex, val_ex = _train_val(ds, vocab, config, seed)
 
     model = cnn.CnnModel.init(matrix.w_in, model_cfg, seed)
     del matrix  # the model holds its own copy of the table, in its own dtype
@@ -260,16 +280,11 @@ def _load_model_and_vocab(args):
     return model, vocab
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args.config)
+def cmd_eval(args, config) -> int:
     model, vocab = _load_model_and_vocab(args)
-    ds = corpus.load_tsv(args.data, _suffix_table(args, config))
-    if any(ex.label is None for ex in ds):
-        raise ValueError("test set is unlabelled; use the predict command")
+    ds = _load_tsv(args.data, args, config, "test set is unlabelled; use the predict command")
     encoded = corpus.encode_dataset(ds, vocab)
-    preds = model.predict_batch(encoded)
-    labels = [ex.label for ex in encoded]
-    cm = confusion(preds, labels)
+    cm = confusion(model.predict_batch(encoded), [ex.label for ex in encoded])
     rep = report(cm)
     print(confusion_to_tsv(cm))
     print(format_report(rep))
@@ -277,10 +292,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    config = _load_config(args.config)
+def cmd_predict(args, config) -> int:
     model, vocab = _load_model_and_vocab(args)
-    ds = corpus.load_tsv(args.data, _suffix_table(args, config))
+    ds = _load_tsv(args.data, args, config)
     probs = model.predict_proba([ex.ids for ex in corpus.encode_dataset(ds, vocab)])
     with atomic_open(args.out) as fh:
         fh.write("id\tlabel\tprobability\n")
@@ -291,35 +305,20 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_cv(args) -> int:
-    config = _load_config(args.config)
-    seed = _require_seed(args, config)
-    data_path = _pick(args.data, config, "data", None)
-    emb_path = _pick(args.embeddings, config, "embeddings", None)
-    if not data_path or not emb_path:
-        raise ValueError("cv needs --data and --embeddings")
-    k = _pick(args.folds, config, "folds", 10)
-
-    ds = corpus.load_tsv(data_path, _suffix_table(args, config))
-    if any(ex.label is None for ex in ds):
-        raise ValueError("cross-validation data must be fully labelled")
-    matrix, vocab = embedding.load_text(emb_path)
-    model_cfg = _model_config_from(config, matrix.dim)
-    train_cfg = _train_config_from(args, config, seed)
+def cmd_cv(args, config) -> int:
+    seed, ds, matrix, vocab, model_cfg, train_cfg = _fit_setup(
+        args, config, "cv needs --data and --embeddings",
+        "cross-validation data must be fully labelled",
+    )
     encoded = corpus.encode_dataset(ds, vocab)
-
-    val_fraction = config.get("val_fraction", 0.2)
-    stratify = config.get("stratify", False)
     scores = []
     lines = ["fold\tmacro_f1"]
-    partitions = corpus.kfold(len(ds), k, seed)
+    partitions = corpus.kfold(len(ds), _pick(args.folds, config, "folds", 10), seed)
     fold_seeds = derived_seeds(seed, "cv-fold", len(partitions))
     table = cnn.embedding_table(matrix.w_in)  # each fold copies this one, not the float64 table
     del matrix
     for fold_i, ((train_idx, test_idx), fold_seed) in enumerate(zip(partitions, fold_seeds)):
-        inner = corpus.split_train_val(ds.subset(train_idx), val_fraction, fold_seed, stratify)
-        train_ex = corpus.encode_dataset(inner[0], vocab)
-        val_ex = corpus.encode_dataset(inner[1], vocab)
+        train_ex, val_ex = _train_val(ds.subset(train_idx), vocab, config, fold_seed)
         model = cnn.CnnModel.init(table, model_cfg, fold_seed)
         cnn.train_model(model, train_ex, val_ex, replace(train_cfg, seed=fold_seed))
         test_ex = [encoded[i] for i in test_idx]
@@ -328,47 +327,30 @@ def cmd_cv(args) -> int:
         scores.append(score)
         lines.append(f"{fold_i}\t{score:.6f}")
     lines.append(f"mean\t{sum(scores) / len(scores):.6f}")
-    table = "\n".join(lines)
-    if args.out:
-        with atomic_open(args.out) as fh:
-            fh.write(table + "\n")
-    print(table)
+    _write_table(lines, args.out)
     return 0
 
 
-def cmd_baseline(args) -> int:
-    config = _load_config(args.config)
+def cmd_baseline(args, config) -> int:
     seed = _require_seed(args, config)
     data_path = _pick(args.data, config, "data", None)
     if not data_path:
         raise ValueError("baseline needs --data")
-    ds = corpus.load_tsv(data_path, _suffix_table(args, config))
-    if any(ex.label is None for ex in ds):
-        raise ValueError("baseline data must be fully labelled")
+    ds = _load_tsv(data_path, args, config, "baseline data must be fully labelled")
     vocab = corpus.build_vocab(ds.token_streams(), args.min_count)
     encoded = corpus.encode_dataset(ds, vocab)
 
-    grid = baselines.DEFAULT_GRIDS[args.model]
-    if args.grid:
-        grid = _read_json(args.grid, "grid")
+    grid = _read_json(args.grid, "grid") if args.grid else baselines.DEFAULT_GRIDS[args.model]
     folds = _pick(args.folds, config, "folds", 10)
     result = baselines.grid_search(args.model, grid, encoded, len(vocab), folds=folds, seed=seed)
 
     k = len(result.rows[0][1])
-    header = ["params"] + [f"fold_{i}" for i in range(k)] + ["mean", "best"]
-    lines = ["\t".join(header)]
+    lines = ["\t".join(["params", *(f"fold_{i}" for i in range(k)), "mean", "best"])]
     for i, (params, scores, mean) in enumerate(result.rows):
         pstr = ",".join(f"{key}={params[key]}" for key in params)
-        cells = [pstr] + [f"{s:.6f}" for s in scores] + [
-            f"{mean:.6f}",
-            "*" if i == result.best_index else "",
-        ]
-        lines.append("\t".join(cells))
-    table = "\n".join(lines)
-    if args.out:
-        with atomic_open(args.out) as fh:
-            fh.write(table + "\n")
-    print(table)
+        best = "*" if i == result.best_index else ""
+        lines.append("\t".join([pstr, *(f"{s:.6f}" for s in scores), f"{mean:.6f}", best]))
+    _write_table(lines, args.out)
     return 0
 
 
@@ -377,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every ``main`` call.
 
     Parsing leaves the parser unchanged, so reusing it saves rebuilding some
-    500 argparse objects (and their reference cycles) per command.
+    500 argparse objects (and their reference cycles) per command. Each flag
+    that several subcommands take is defined once, in a parent parser.
     """
     parser = argparse.ArgumentParser(
         prog="hofkit",
@@ -385,17 +368,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="normalize a tweet TSV into token lines")
+    flag_set = functools.partial(argparse.ArgumentParser, add_help=False)
+    config = flag_set()
+    config.add_argument("--config")
+
+    def tweets(suffixes_help=None):  # every command that reads a tweet TSV
+        flags = flag_set(parents=[config])
+        flags.add_argument("--suffixes", help=suffixes_help)
+        return flags
+
+    tsv = tweets()
+    fit = flag_set(parents=[tsv])  # train and cv
+    fit.add_argument("--data")
+    fit.add_argument("--embeddings")
+    fit.add_argument("--epochs", type=int)
+    fit.add_argument("--batch-size", type=int, dest="batch_size")
+    fit.add_argument("--lr", type=float)
+    fit.add_argument("--patience", type=int)
+    fit.add_argument("--seed", type=int)
+    fit.add_argument("--out")
+
+    scoring = flag_set(parents=[tsv])  # eval and predict
+    scoring.add_argument("checkpoint")
+    scoring.add_argument("data")
+    scoring.add_argument("--embeddings", required=True)
+
+    p = sub.add_parser("preprocess", parents=[tweets("custom stemmer suffix table")],
+                       help="normalize a tweet TSV into token lines")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--config")
-    p.add_argument("--suffixes", help="custom stemmer suffix table")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("embed-train", help="train word vectors on token lines")
+    p = sub.add_parser("embed-train", parents=[config], help="train word vectors on token lines")
     p.add_argument("corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--dim", type=int)
     p.add_argument("--window", type=int)
     p.add_argument("--min-count", type=int, dest="min_count")
@@ -407,61 +413,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-out", dest="vocab_out")
     p.set_defaults(func=cmd_embed_train)
 
-    p = sub.add_parser("train", help="train the convolutional classifier")
-    p.add_argument("--config")
-    p.add_argument("--data")
-    p.add_argument("--embeddings")
-    p.add_argument("--out")
+    p = sub.add_parser("train", parents=[fit], help="train the convolutional classifier")
     p.add_argument("--history")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--suffixes")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="report metrics on a labelled TSV")
-    p.add_argument("checkpoint")
-    p.add_argument("data")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--config")
-    p.add_argument("--suffixes")
+    p = sub.add_parser("eval", parents=[scoring], help="report metrics on a labelled TSV")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="write id/label/probability TSV")
-    p.add_argument("checkpoint")
-    p.add_argument("data")
-    p.add_argument("--embeddings", required=True)
+    p = sub.add_parser("predict", parents=[scoring], help="write id/label/probability TSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--suffixes")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("cv", help="k-fold cross-validation of the classifier")
-    p.add_argument("--config")
-    p.add_argument("--data")
-    p.add_argument("--embeddings")
+    p = sub.add_parser("cv", parents=[fit], help="k-fold cross-validation of the classifier")
     p.add_argument("--folds", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--suffixes")
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("baseline", help="grid-search a baseline family")
+    p = sub.add_parser("baseline", parents=[tsv], help="grid-search a baseline family")
     p.add_argument("--model", required=True, choices=list(baselines.BASELINE_FAMILIES))
     p.add_argument("--data")
     p.add_argument("--grid", help="JSON file: parameter name -> list of values")
     p.add_argument("--folds", type=int)
     p.add_argument("--min-count", type=int, dest="min_count", default=2)
     p.add_argument("--seed", type=int)
-    p.add_argument("--config")
     p.add_argument("--out")
-    p.add_argument("--suffixes")
     p.set_defaults(func=cmd_baseline)
 
     return parser
@@ -471,7 +445,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except (ValueError, OSError, RuntimeError, KeyError, json.JSONDecodeError) as exc:
         message = str(exc).replace("\n", " ")
         print(f"error: {message}", file=sys.stderr)

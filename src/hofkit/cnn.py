@@ -329,9 +329,6 @@ class CnnModel:
     def dtype(self):
         return self.params["emb"].dtype
 
-    def copy_params(self) -> dict:
-        return {k: v.copy() for k, v in self.params.items()}
-
     # -- dropout masks -----------------------------------------------------
 
     def make_masks(self, lengths: Sequence[int], rng: np.random.Generator) -> tuple:
@@ -590,16 +587,6 @@ class Adam:
         self.m = {k: RowSparse.zeros_like(v) for k, v in params.items()}
         self.v = {k: RowSparse.zeros_like(v) for k, v in params.items()}
 
-    @property
-    def reached(self) -> dict:
-        """Per parameter with compact moments, per-row flags: has a gradient reached the row?"""
-        flags = {}
-        for k, m in self.m.items():
-            if isinstance(m, RowSparse):
-                flags[k] = np.zeros(m.shape[0], dtype=bool)
-                flags[k][m.rows] = True
-        return flags
-
     def step(self, grads):
         self.t += 1
         for k in PARAM_ORDER:
@@ -619,8 +606,11 @@ class Adam:
     def _reach(self, k, rows) -> tuple:
         """The compact moments of ``k``, grown to hold ``rows`` where they do not yet."""
         m, v = self.m[k], self.v[k]
-        both = np.sort(np.concatenate([m.rows, rows]))  # not np.union1d: it imports numpy.ma
-        union = both[np.concatenate(([True], both[1:] != both[:-1]))]
+        # not np.unique: NumPy 2.x finds unique ints with a hash table, about 10x this sort
+        both = np.sort(np.concatenate([m.rows, rows]))
+        first = np.ones(len(both), dtype=bool)  # each row's first copy, as long as both if empty
+        first[1:] = both[1:] != both[:-1]
+        union = both[first]
         if len(union) > len(m.rows):
             at = np.searchsorted(union, m.rows)
             grown = []

@@ -151,7 +151,6 @@ class Vocabulary:
 
     words: list[str]
     counts: dict[str, int]
-    min_count: int
 
     def __post_init__(self):
         self.word_to_id = {w: i for i, w in enumerate(self.words)}
@@ -164,32 +163,11 @@ class Vocabulary:
     def __contains__(self, word: str) -> bool:
         return word in self.word_to_id
 
-    def id_of(self, word: str) -> int:
-        return self.word_to_id.get(word, UNK_ID)
-
-    def word_of(self, idx: int) -> str:
-        return self.words[idx]
-
     def save(self, path) -> None:
         """Dump as UTF-8 lines ``word<TAB>count`` in id order."""
         with atomic_open(path) as fh:
             for w in self.words:
                 fh.write(f"{w}\t{self.counts.get(w, 0)}\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        words, counts = [], {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise CorpusError(f"expected word<TAB>count, line {lineno}")
-                words.append(parts[0])
-                counts[parts[0]] = int(parts[1])
-        return cls(words, counts, min_count=0)
 
 
 def build_vocab(streams: Iterable[Sequence[str]], min_count: int = 2) -> Vocabulary:
@@ -210,7 +188,7 @@ def build_vocab(streams: Iterable[Sequence[str]], min_count: int = 2) -> Vocabul
     ]
     kept.sort(key=lambda w: (-counts[w], w))
     words = [PAD_TOKEN, UNK_TOKEN] + kept
-    return Vocabulary(words, dict(counts), min_count)
+    return Vocabulary(words, dict(counts))
 
 
 @dataclass(frozen=True)

@@ -380,7 +380,7 @@ def _vocabulary(words: list) -> Vocabulary:
     """The words in file order, after the reserved words the file lacks."""
     if words[:2] != [PAD_TOKEN, UNK_TOKEN]:
         words = [w for w in (PAD_TOKEN, UNK_TOKEN) if w not in words] + words
-    return Vocabulary(words, {w: 0 for w in words}, min_count=0)
+    return Vocabulary(words, {w: 0 for w in words})
 
 
 def load_words(path) -> Vocabulary:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -97,6 +98,132 @@ def test_one_parser_serves_every_command(tmp_path, capsys):
     assert main_exit.value.code == fresh_exit.value.code == 2
     assert capsys.readouterr().err == fresh_err
     assert "error: the following arguments are required: output" in fresh_err
+
+
+# Every argument of every subcommand: (option string, or "" for a positional;
+# dest, type, default, required, choices, help). Positionals come first, in
+# parse order; options follow, sorted. A flag is added or changed by editing
+# this table.
+PARSER_SURFACE = {
+    "preprocess": [
+        ("", "input", None, None, True, None, None),
+        ("", "output", None, None, True, None, None),
+        ("--config", "config", None, None, False, None, None),
+        ("--suffixes", "suffixes", None, None, False, None, "custom stemmer suffix table"),
+    ],
+    "embed-train": [
+        ("", "corpus", None, None, True, None, None),
+        ("--config", "config", None, None, False, None, None),
+        ("--dim", "dim", int, None, False, None, None),
+        ("--epochs", "epochs", int, None, False, None, None),
+        ("--lr", "initial_lr", float, None, False, None, None),
+        ("--min-count", "min_count", int, None, False, None, None),
+        ("--negatives", "negatives", int, None, False, None, None),
+        ("--objective", "objective", None, None, False, ["cbow", "skipgram"], None),
+        ("--out", "out", None, None, True, None, None),
+        ("--seed", "seed", int, None, False, None, None),
+        ("--vocab-out", "vocab_out", None, None, False, None, None),
+        ("--window", "window", int, None, False, None, None),
+    ],
+    "train": [
+        ("--batch-size", "batch_size", int, None, False, None, None),
+        ("--config", "config", None, None, False, None, None),
+        ("--data", "data", None, None, False, None, None),
+        ("--embeddings", "embeddings", None, None, False, None, None),
+        ("--epochs", "epochs", int, None, False, None, None),
+        ("--history", "history", None, None, False, None, None),
+        ("--lr", "lr", float, None, False, None, None),
+        ("--out", "out", None, None, False, None, None),
+        ("--patience", "patience", int, None, False, None, None),
+        ("--seed", "seed", int, None, False, None, None),
+        ("--suffixes", "suffixes", None, None, False, None, None),
+    ],
+    "eval": [
+        ("", "checkpoint", None, None, True, None, None),
+        ("", "data", None, None, True, None, None),
+        ("--config", "config", None, None, False, None, None),
+        ("--embeddings", "embeddings", None, None, True, None, None),
+        ("--suffixes", "suffixes", None, None, False, None, None),
+    ],
+    "predict": [
+        ("", "checkpoint", None, None, True, None, None),
+        ("", "data", None, None, True, None, None),
+        ("--config", "config", None, None, False, None, None),
+        ("--embeddings", "embeddings", None, None, True, None, None),
+        ("--out", "out", None, None, True, None, None),
+        ("--suffixes", "suffixes", None, None, False, None, None),
+    ],
+    "cv": [
+        ("--batch-size", "batch_size", int, None, False, None, None),
+        ("--config", "config", None, None, False, None, None),
+        ("--data", "data", None, None, False, None, None),
+        ("--embeddings", "embeddings", None, None, False, None, None),
+        ("--epochs", "epochs", int, None, False, None, None),
+        ("--folds", "folds", int, None, False, None, None),
+        ("--lr", "lr", float, None, False, None, None),
+        ("--out", "out", None, None, False, None, None),
+        ("--patience", "patience", int, None, False, None, None),
+        ("--seed", "seed", int, None, False, None, None),
+        ("--suffixes", "suffixes", None, None, False, None, None),
+    ],
+    "baseline": [
+        ("--config", "config", None, None, False, None, None),
+        ("--data", "data", None, None, False, None, None),
+        ("--folds", "folds", int, None, False, None, None),
+        ("--grid", "grid", None, None, False, None, "JSON file: parameter name -> list of values"),
+        ("--min-count", "min_count", int, 2, False, None, None),
+        ("--model", "model", None, None, True, ["mnb", "ridge", "knn", "dnn"], None),
+        ("--out", "out", None, None, False, None, None),
+        ("--seed", "seed", int, None, False, None, None),
+        ("--suffixes", "suffixes", None, None, False, None, None),
+    ],
+}
+
+
+def _surface(parser):
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for name, command in commands.choices.items():
+        actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        positionals = [a for a in actions if not a.option_strings]
+        options = sorted((a for a in actions if a.option_strings), key=lambda a: a.option_strings)
+        surface[name] = [
+            (" ".join(a.option_strings), a.dest, a.type, a.default, a.required, a.choices, a.help)
+            for a in positionals + options
+        ]
+    return surface
+
+
+def test_parser_surface_is_pinned():
+    surface = _surface(cli.build_parser())
+    assert list(surface) == list(PARSER_SURFACE)
+    for name, rows in PARSER_SURFACE.items():
+        assert surface[name] == rows, name
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed-train", "missing.txt", "--out", "vectors.txt"],
+        ["train", "--data", "missing.tsv", "--embeddings", "missing.txt", "--out", "m.ckpt"],
+        ["cv", "--data", "missing.tsv", "--embeddings", "missing.txt"],
+        ["baseline", "--model", "mnb", "--data", "missing.tsv"],
+    ],
+    ids=["embed-train", "train", "cv", "baseline"],
+)
+def test_negative_seed_is_one_error_line_before_any_file_is_read(tmp_path, capsys, monkeypatch,
+                                                                  argv, source):
+    monkeypatch.chdir(tmp_path)
+    if source == "flag":
+        argv = argv + ["--seed", "-3"]
+    else:
+        Path("config.json").write_text('{"seed": -3}', encoding="utf-8")
+        argv = argv + ["--config", "config.json"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be a whole number >= 0, got -3\n"
+    written = ["config.json"] if source == "config" else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 class TestPreprocessCmd:
@@ -1069,6 +1196,42 @@ class TestCvCmd:
         for a, b in zip(streams, streams[1:]):
             assert len(set(a)) == 10
             assert set(a).isdisjoint(b)
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_cv_and_baseline_score_the_same_tweets_in_each_fold(self, tmp_path, monkeypatch, seed):
+        self._run(tmp_path, seed=seed)  # writes the data and the vectors
+        real_encode = corpus.encode_dataset
+        owners = []  # (encoded example, its tweet's id), for every example either command encodes
+
+        def encode_dataset(ds, vocab):
+            encoded = real_encode(ds, vocab)
+            owners.extend(zip(encoded, (ex.tweet_id for ex in ds)))
+            return encoded
+
+        def tweet_ids(examples):
+            return sorted(next(tid for enc, tid in owners if enc is ex) for ex in examples)
+
+        cv_folds, baseline_folds = [], []
+
+        def predict_batch(model, examples):
+            cv_folds.append(tweet_ids(examples))
+            return [ex.label for ex in examples]
+
+        def fold_scores(family, points, train, test, vocab_size, seed):
+            baseline_folds.append(tweet_ids(test))
+            return [0.5] * len(points)
+
+        monkeypatch.setattr(corpus, "encode_dataset", encode_dataset)
+        monkeypatch.setattr(cnn, "train_model", lambda *args: None)
+        monkeypatch.setattr(cnn.CnnModel, "predict_batch", predict_batch)
+        monkeypatch.setattr(baselines, "_fold_scores", fold_scores)
+        data, vectors = tmp_path / "train.tsv", tmp_path / "vectors.txt"
+        common = ["--data", str(data), "--folds", "5", "--seed", str(seed)]
+        assert cli.main(["cv", "--embeddings", str(vectors)] + common) == 0
+        assert cli.main(["baseline", "--model", "mnb", "--min-count", "1"] + common) == 0
+        assert len(cv_folds) == 5
+        assert cv_folds == baseline_folds
+        assert sorted(t for fold in cv_folds for t in fold) == sorted(f"t{i}" for i in range(40))
 
     def test_too_few_examples_errors(self, tmp_path, capsys):
         data = make_labelled_tsv(tmp_path / "small.tsv", n=6)
