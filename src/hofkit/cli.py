@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from dataclasses import fields, replace
 
 from . import baselines, cnn, corpus, embedding
@@ -271,12 +272,15 @@ def cmd_train(args, config) -> int:
 
 def _load_model_and_vocab(args):
     vocab = embedding.load_words(args.embeddings)
-    model = cnn.load_checkpoint(args.checkpoint, vocab)
+    with warnings.catch_warnings(record=True) as held:  # a size mismatch is the one error line
+        model = cnn.load_checkpoint(args.checkpoint, vocab)
     if model.params["emb"].shape[0] != len(vocab):
         raise ValueError(
             f"checkpoint vocabulary size {model.params['emb'].shape[0]} does not "
             f"match embeddings file ({len(vocab)} words)"
         )
+    for warning in held:
+        print(f"warning: {warning.message}", file=sys.stderr)
     return model, vocab
 
 

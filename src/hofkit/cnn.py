@@ -683,8 +683,7 @@ def train_model(
         return model.batch_loss_grads(batch, model.make_masks(lengths, dropout_rng))
 
     def step(grads):
-        g = grads["emb"]
-        rows = g.rows if isinstance(g, RowSparse) else np.arange(len(emb))
+        rows = grads["emb"].rows
         first = rows[~reached[rows]]
         if len(first):  # Adam changes a reached row on every step, so log it before this one
             log.append((first, emb[first]))

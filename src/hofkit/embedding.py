@@ -12,9 +12,9 @@ tweet's examples read the tables as they were before the step, and the
 step writes each distinct row once. The corpus is walked in blocks of whole
 tweets of about ``BLOCK_EXAMPLES`` examples; what does not read the tables
 (learning rates, noise draws, target/noise ids, sign and loss masks, each
-tweet's distinct rows) is computed once per block before its steps. The
-trainer is single-threaded and deterministic: the same seed gives the same
-bytes.
+tweet's distinct rows) is computed once per block, then one loop takes the
+block's steps tweet by tweet. The trainer is single-threaded and
+deterministic: the same seed gives the same bytes.
 """
 
 from __future__ import annotations
@@ -149,42 +149,6 @@ def _distinct(group: np.ndarray, ids: np.ndarray, vocab_size: int):
     return keys % vocab_size, inverse - bounds[group], bounds.tolist()
 
 
-def _plans(ids: np.ndarray, ops: list, out_ids: np.ndarray, lr: np.ndarray, vocab_size: int):
-    """Yield the ``_tweet_step`` arguments after the tables, tweet by tweet, for a block.
-
-    ``ids`` holds the block's tweets one after another and ``ops`` the
-    ``_examples`` operator of each; ``out_ids`` and ``lr`` hold the target and
-    noise ids and the learning rate of every example, tweet after tweet. What
-    does not read the tables is computed here once for the whole block: the
-    sign of each draw and the draws the loss counts (``_contrastive``), each
-    tweet's distinct rows of either table, and the slots of its ids and
-    draws among them.
-    """
-    lengths = [op.shape[1] for op in ops]
-    counts = [len(op) for op in ops]
-    sign = np.ones(out_ids.shape)
-    sign[:, 0] = -1.0
-    sign[:, 1:][out_ids[:, 1:] == out_ids[:, :1]] = 0.0
-    scored = sign != 0.0
-    tweet = np.arange(len(ops))
-    rows, slot, row_bounds = _distinct(np.repeat(tweet, lengths), ids, vocab_size)
-    draw_tweet = np.repeat(tweet, np.multiply(counts, out_ids.shape[1]))
-    out_rows, out_slot, out_bounds = _distinct(draw_tweet, out_ids.ravel(), vocab_size)
-    out_slot = out_slot.reshape(out_ids.shape)
-    ids_at = example_at = 0
-    for t, (op, n, e) in enumerate(zip(ops, lengths, counts)):
-        tweet_ids = slice(ids_at, ids_at + n)
-        tweet_examples = slice(example_at, example_at + e)
-        one_hot = slot[tweet_ids] == np.arange(row_bounds[t + 1] - row_bounds[t])[:, None]
-        yield (
-            ids[tweet_ids], op, out_ids[tweet_examples], lr[tweet_examples], sign[tweet_examples],
-            scored[tweet_examples], rows[row_bounds[t]:row_bounds[t + 1]], one_hot,
-            out_rows[out_bounds[t]:out_bounds[t + 1]], out_slot[tweet_examples],
-        )
-        ids_at += n
-        example_at += e
-
-
 def _contrastive(h, w_out, out_ids, sign, scored):
     """Summed loss of E examples, d(loss)/d(score) per draw, and d(loss)/dh.
 
@@ -202,28 +166,49 @@ def _contrastive(h, w_out, out_ids, sign, scored):
     return float(np.logaddexp(0.0, z)[scored].sum()), g, np.einsum("ej,ejd->ed", g, w)
 
 
-def _tweet_step(
-    w_in, w_out, ids, op, out_ids, lr, sign, scored, rows, one_hot, out_rows, out_slot
-) -> float:
-    """One SGD step over a tweet's E examples; returns their summed loss.
+def _steps(w_in, w_out, ids, ops, out_ids, lr, vocab_size: int) -> list:
+    """One SGD step per tweet of a block, in order; returns each tweet's summed loss.
 
-    Example e has the hidden vector ``op[e] @ w_in[ids]``, the target and
-    noise words ``out_ids[e]`` and the learning rate ``lr[e]``; the other
-    arguments are ``_plans``' bookkeeping. Every example reads the tables as
-    they were before the step, and each distinct row of either table is
-    written once.
+    ``ids`` holds the block's tweets one after another and ``ops`` the
+    ``_examples`` operator of each; ``out_ids`` and ``lr`` hold the target and
+    noise ids and the learning rate of every example, tweet after tweet. What
+    does not read the tables is computed first, once for the block: the sign
+    of each draw and the draws the loss counts (``_contrastive``), each
+    tweet's distinct rows of either table, and the slots of its ids and draws
+    among them. Then each tweet's examples read the tables as they were before
+    its step, and each distinct row of either table is written once.
     """
-    x = w_in.take(ids, axis=0)  # (L, dim)
-    loss, g, dh = _contrastive(op @ x, w_out, out_ids, sign, scored)
-    w_in[rows] -= (one_hot @ op.T) @ (lr[:, None] * dh)
-    # m[u, l] sums lr[e] * g[e, j] * op[e, l] over the draws (e, j) of
-    # out_rows[u], so row u of m @ x sums lr[e] * g[e, j] * h[e] over them
-    n = len(ids)
-    flat = out_slot[:, :, None] * n + np.arange(n)
-    weights = (lr[:, None] * g)[:, :, None] * op[:, None, :]
-    m = np.bincount(flat.ravel(), weights.ravel(), len(out_rows) * n)
-    w_out[out_rows] -= m.reshape(len(out_rows), n) @ x
-    return loss
+    sign = np.where(out_ids == out_ids[:, :1], 0.0, 1.0)  # 0: a noise word equal to its target
+    sign[:, 0] = -1.0
+    scored = sign != 0.0
+    tweet = np.arange(len(ops))
+    id_tweet = np.repeat(tweet, [op.shape[1] for op in ops])
+    rows, slot, row_bounds = _distinct(id_tweet, ids, vocab_size)
+    draw_tweet = np.repeat(tweet, [len(op) * out_ids.shape[1] for op in ops])
+    out_rows, out_slot, out_bounds = _distinct(draw_tweet, out_ids.ravel(), vocab_size)
+    out_slot = out_slot.reshape(out_ids.shape)
+    losses = []
+    id_at = example_at = 0
+    for t, op in enumerate(ops):
+        n = op.shape[1]
+        tweet_ids = slice(id_at, id_at + n)
+        mine = slice(example_at, example_at + len(op))  # the tweet's examples
+        x = w_in.take(ids[tweet_ids], axis=0)  # (n, dim)
+        loss, g, dh = _contrastive(op @ x, w_out, out_ids[mine], sign[mine], scored[mine])
+        in_rows = rows[row_bounds[t]:row_bounds[t + 1]]
+        one_hot = slot[tweet_ids] == np.arange(len(in_rows))[:, None]
+        w_in[in_rows] -= (one_hot @ op.T) @ (lr[mine, None] * dh)
+        # m[u, l] sums lr[e] * g[e, j] * op[e, l] over the draws (e, j) of
+        # to_rows[u], so row u of m @ x sums lr[e] * g[e, j] * h[e] over them
+        to_rows = out_rows[out_bounds[t]:out_bounds[t + 1]]
+        flat = out_slot[mine, :, None] * n + np.arange(n)
+        weights = (lr[mine, None] * g)[:, :, None] * op[:, None, :]
+        m = np.bincount(flat.ravel(), weights.ravel(), len(to_rows) * n)
+        w_out[to_rows] -= m.reshape(len(to_rows), n) @ x
+        losses.append(loss)
+        id_at += n
+        example_at += len(op)
+    return losses
 
 
 def train(
@@ -241,9 +226,9 @@ def train(
     skip-gram) attached.
 
     Each epoch walks the corpus in blocks of whole tweets of about
-    ``BLOCK_EXAMPLES`` examples; the learning rates, ``_block`` and
-    ``_plans`` do a block's work that does not read the tables before its
-    steps. Operators come from a memo keyed by tweet length.
+    ``BLOCK_EXAMPLES`` examples: the learning rates and ``_block`` prepare a
+    block, and ``_steps`` takes its tweets' steps. Operators come from a
+    memo keyed by tweet length.
     """
     if vocab_size < 1:
         raise ValueError("vocabulary is empty")
@@ -275,8 +260,8 @@ def train(
             lr = cfg.initial_lr * (
                 1.0 - (1.0 - LR_FINAL_FRACTION) * (step + position) / max(total_steps - 1, 1)
             )
-            for args in _plans(ids, ops, out_ids, lr, vocab_size):
-                epoch_loss += _tweet_step(w_in, w_out, *args)
+            for loss in _steps(w_in, w_out, ids, ops, out_ids, lr, vocab_size):
+                epoch_loss += loss  # tweet by tweet: a block subtotal rounds otherwise
             step += len(ids)
         losses.append(epoch_loss / max(int(counts.sum()), 1))
     return EmbeddingMatrix(w_in, w_out, losses)

@@ -2,7 +2,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 import weakref
@@ -919,6 +922,51 @@ class TestEvalAndPredictCmds:
             p = model.predict_proba([corpus.encode(ex.tokens, vocab).ids])[0]
             want.append(f"{ex.tweet_id}\t{'HOF' if p >= 0.5 else 'NOT'}\t{p:.6f}")
         assert out.read_text(encoding="utf-8").splitlines()[1:] == want
+
+    @staticmethod
+    def _hofkit(*argv):
+        """Exit code and standard error of hofkit in a fresh interpreter, Python's warnings too."""
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run([sys.executable, "-m", "hofkit.cli", *map(str, argv)], env=env,
+                              capture_output=True, text=True)
+        return done.returncode, done.stderr
+
+    @staticmethod
+    def _edit_vectors(vectors, edit):
+        header, *rows = vectors.read_text(encoding="utf-8").splitlines(keepends=True)
+        v, dim = map(int, header.split())
+        rows = edit(rows)
+        vectors.write_text(f"{len(rows)} {dim}\n" + "".join(rows), encoding="utf-8")
+        return v
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_vocabulary_size_mismatch_is_one_error_line(self, tmp_path, command):
+        data, vectors, ckpt = self._zero_checkpoint(tmp_path)
+        v = self._edit_vectors(vectors, lambda rows: rows[:-1])  # its hash differs too
+        out = tmp_path / "preds.tsv"
+        extra = ["--out", out] if command == "predict" else []
+        rc, err = self._hofkit(command, ckpt, data, "--embeddings", vectors, *extra)
+        assert rc == 1
+        assert err == (
+            f"error: checkpoint vocabulary size {v} does not match embeddings file "
+            f"({v - 1} words)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_renamed_word_is_one_warning_line(self, tmp_path, command):
+        data, vectors, ckpt = self._zero_checkpoint(tmp_path)
+
+        def rename_last(rows):
+            return rows[:-1] + ["renamed " + rows[-1].partition(" ")[2]]
+
+        self._edit_vectors(vectors, rename_last)  # same size, other hash
+        out = tmp_path / "preds.tsv"
+        extra = ["--out", out] if command == "predict" else []
+        rc, err = self._hofkit(command, ckpt, data, "--embeddings", vectors, *extra)
+        assert rc == 0
+        assert err == "warning: checkpoint vocab hash does not match the provided vocabulary\n"
 
 
 def _load_text_by_line(path):

@@ -331,13 +331,41 @@ class TestTweetStep:
         )
         got_in, got_out = w_in.copy(), w_out.copy()
         out_ids = np.column_stack([targets, negatives])
-        loss = embedding._tweet_step(
-            got_in, got_out,
-            *next(embedding._plans(np.array(ids), [op], out_ids, window_lr[center], 7)),
+        (loss,) = embedding._steps(
+            got_in, got_out, np.array(ids), [op], out_ids, window_lr[center], 7
         )
         assert abs(loss - sum(losses)) <= 1e-12
         assert np.abs(got_in - want_in).max() <= 1e-12
         assert np.abs(got_out - want_out).max() <= 1e-12
+
+    @pytest.mark.parametrize("skipgram", [False, True])
+    def test_block_is_the_oracle_steps_tweet_after_tweet(self, skipgram):
+        # the tweets share rows 3 and 6, so each must read the tables its predecessor wrote
+        tweets = [[2, 5, 2, 3, 5, 5, 6], [4, 4], [3, 6]]
+        w_in, w_out = self._tables(11 + skipgram)
+        want_in, want_out = w_in.copy(), w_out.copy()
+        rng = derived_rng(3, "block-step-negatives")
+        ops, out_ids, lrs, want = [], [], [], []
+        for k, ids in enumerate(tweets):
+            op, targets, center = embedding._examples(np.array(ids), 2, skipgram)
+            window_lr = np.linspace(0.05, 0.04, len(ids)) - 0.001 * k
+            negatives = rng.integers(0, 7, size=(len(op), 3))
+            negatives[0, :2] = targets[0]  # noise words equal to their target in every tweet
+            losses, want_in, want_out = oracle_step(
+                want_in, want_out, ids, 2, skipgram, window_lr, negatives
+            )
+            want.append(sum(losses))
+            ops.append(op)
+            out_ids.append(np.column_stack([targets, negatives]))
+            lrs.append(window_lr[center])
+        got = embedding._steps(
+            w_in, w_out, np.concatenate(tweets), ops, np.concatenate(out_ids),
+            np.concatenate(lrs), 7,
+        )
+        assert len(got) == len(tweets)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-12
+        assert np.abs(w_in - want_in).max() <= 1e-12
+        assert np.abs(w_out - want_out).max() <= 1e-12
 
     @pytest.mark.parametrize("objective", ["cbow", "skipgram"])
     def test_train_takes_one_oracle_step_per_tweet(self, objective):
