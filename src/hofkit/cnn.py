@@ -14,8 +14,9 @@ has zero moments and zero gradient, so its Adam step is ``lr * 0 / (0 + eps)``,
 exactly zero for any ``eps > 0``. A step copies only the reached rows of the
 table out and back; the moments grow when a batch reaches new rows. The
 best-epoch snapshot, too, keeps only the reached rows of the table (see
-``train_model``), so the table is the only array of V rows that training
-holds. Dropout is inverted
+``train_model``), so the table is the only array of V rows of vectors that
+training holds; beside it, ``train_model`` keeps one V-entry boolean mask of
+the reached rows. Dropout is inverted
 (survivors scaled by 1/keep) at four sites: input word rows, pooled features
 of each bank, and dense activations. The dense layer and the output form one
 layer stack of ``layers.py``, which also holds the dropout formula and runs

@@ -127,7 +127,7 @@ def _rows(lines: Iterable[str]):
 
 
 def _check_rows(text: str) -> None:
-    """Raise the first row defect of ``text``, a tweet TSV's lines before an invalid byte."""
+    """Raise the first row defect of ``text``, a tweet TSV's lines (``utf8_line_errors``)."""
     for _ in _rows(io.StringIO(text, newline="")):
         pass
 

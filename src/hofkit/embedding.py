@@ -15,6 +15,12 @@ tweets of about ``BLOCK_EXAMPLES`` examples; what does not read the tables
 tweet's distinct rows) is computed once per block, then one loop takes the
 block's steps tweet by tweet. The trainer is single-threaded and
 deterministic: the same seed gives the same bytes.
+
+Vectors travel in word2vec's text format. ``load_text`` and ``load_words``
+are one reader (``_read``), with and without the values: one row generator
+(``_rows``) checks every row, and the reader runs under
+``fileio.utf8_line_errors``, whose error path re-checks the text so that
+every defect, an invalid byte among them, is reported in line order.
 """
 
 from __future__ import annotations
@@ -77,9 +83,6 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.w_in.shape[1]
-
-    def __len__(self) -> int:
-        return self.w_in.shape[0]
 
 
 def _noise_table(corpus: Sequence[EncodedExample], vocab_size: int) -> np.ndarray:
@@ -285,40 +288,47 @@ def save_text(matrix: EmbeddingMatrix, vocab: Vocabulary, path) -> None:
 
 def _read_header(fh) -> tuple[int, int]:
     header = fh.readline().split()
-    if len(header) != 2:
-        raise ValueError(f"malformed header {header!r}, expected 'V dim'")
     try:
-        return int(header[0]), int(header[1])
-    except ValueError:
+        v, dim = map(int, header)
+    except ValueError:  # not two fields, or not two whole numbers
         raise ValueError(f"malformed header {header!r}, expected 'V dim'") from None
+    return v, dim
 
 
-def _check_row(line: str, lineno: int, dim: int) -> None:
-    """Raise the defect of one row line of a vectors file, if it has one.
+def _rows(fh, dim: int, seen: dict, v=None):
+    """Yield each row line of a vectors file, keying ``seen`` by its word in file order.
 
-    A row holds a word and ``dim`` values, one space apart. It may not hold
-    U+001C..U+001F: ``np.loadtxt`` strips them around a value, where
-    ``float()`` rejects them.
+    A row holds a word and ``dim`` values, one space apart, and no
+    U+001C..U+001F (``np.loadtxt`` strips them around a value, ``float()``
+    does not). No word repeats. A reserved word may only open the file, as
+    ``xxpad, xxunk`` or ``xxunk``: the missing ones are prepended. With ``v``,
+    the declared row count, the drained file is checked too, so a file with
+    no rows fails here before a parser sees it empty.
     """
-    if line.count(" ") != dim:
-        raise ValueError(f"expected {dim + 1} columns, got {line.count(' ') + 1}, line {lineno}")
-    if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
-        char = next(c for c in line if "\x1c" <= c <= "\x1f")
-        raise ValueError(f"control character U+{ord(char):04X}, line {lineno}")
-
-
-def _rows(fh, v: int, dim: int, words: list):
-    """Yield each row line of a vectors file and append its word to ``words``.
-
-    Checks every row (``_check_row``) and, once the file is drained, the row
-    count, so a file with no rows fails here before a parser sees it empty.
-    """
+    reserved = (PAD_TOKEN, UNK_TOKEN)
+    offset = 2  # the id of row 1: the prepended reserved words come before it
     for lineno, line in enumerate(fh, start=2):
-        _check_row(line, lineno, dim)
-        words.append(line.partition(" ")[0].rstrip("\n"))
+        word = line.partition(" ")[0].rstrip("\n")
+        if lineno == 2 and word in reserved:
+            offset = reserved.index(word)
+        at = offset + lineno - 2  # the word's id
+        if at < 2 and word != reserved[at]:  # xxpad on row 1, then not xxunk
+            raise ValueError(f"reserved word {PAD_TOKEN!r} out of place, line 2")
+        if at >= 2 and word in reserved:
+            raise ValueError(f"reserved word {word!r} out of place, line {lineno}")
+        if line.count(" ") != dim:
+            raise ValueError(f"expected {dim + 1} columns, got {line.count(' ') + 1}, line {lineno}")
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            char = next(c for c in line if "\x1c" <= c <= "\x1f")
+            raise ValueError(f"control character U+{ord(char):04X}, line {lineno}")
+        first = seen.setdefault(word, lineno)
+        if first != lineno:
+            raise ValueError(f"word {word!r} repeats line {first}, line {lineno}")
         yield line
-    if len(words) != v:
-        raise ValueError(f"header declares {v} rows but file has {len(words)}")
+    if v is not None and len(seen) != v:
+        raise ValueError(f"header declares {v} rows but file has {len(seen)}")
+    if v is not None and offset + len(seen) < 2:  # xxpad alone
+        raise ValueError(f"reserved word {PAD_TOKEN!r} out of place, line 2")
 
 
 def _values(rows, dim: int, v: int) -> np.ndarray:
@@ -334,20 +344,17 @@ def _values(rows, dim: int, v: int) -> np.ndarray:
     )
 
 
-def _check_lines(text: str, values: bool = False) -> None:
+def _check_lines(text: str, values: bool) -> None:
     """Raise the first defect of ``text``, the lines of a vectors file, naming its line.
 
-    Checks the header and each row, and with ``values`` also parses each
-    row's values on its own: ``np.loadtxt`` names a bad value by its row
-    among those it parsed, not by its line. The readers decode ahead of the
-    rows they have checked, so this puts a defect above an invalid byte
-    first. Error paths only call it. The row count is not checked: only a
-    drained file can fail it.
+    The readers' check (``utf8_line_errors``): the header and each row, with
+    ``values`` each row's values parsed on their own, since ``np.loadtxt``
+    names a bad value by its row among those it parsed. Not the row count:
+    the text may end above an invalid byte.
     """
     fh = io.StringIO(text, newline=None)  # the readers' universal newlines
     _, dim = _read_header(fh)
-    for lineno, line in enumerate(fh, start=2):
-        _check_row(line, lineno, dim)
+    for lineno, line in enumerate(_rows(fh, dim, {}), start=2):
         if values and dim:
             try:
                 _values([line], dim, 1)
@@ -356,58 +363,37 @@ def _check_lines(text: str, values: bool = False) -> None:
                 raise ValueError(f"{where}, line {lineno}") from None
 
 
-def _check_text(text: str) -> None:
-    """``_check_lines`` with the values, for ``load_text``."""
-    _check_lines(text, values=True)
+def _read(path, values: bool):
+    """The vocabulary of a vectors file, and its table with ``values``, else None.
 
-
-def _vocabulary(words: list) -> Vocabulary:
-    """The words in file order, after the reserved words the file lacks."""
-    if words[:2] != [PAD_TOKEN, UNK_TOKEN]:
-        words = [w for w in (PAD_TOKEN, UNK_TOKEN) if w not in words] + words
-    return Vocabulary(words, {w: 0 for w in words})
+    One pass: ``np.loadtxt`` parses the values of the rows ``_rows`` passes,
+    into one array of the declared row count. The prepended reserved words
+    get zero vectors.
+    """
+    seen = {}
+    with open(path, encoding="utf-8") as fh, utf8_line_errors(
+        path, check=lambda text: _check_lines(text, values)
+    ):
+        v, dim = _read_header(fh)
+        rows = _rows(fh, dim, seen, v)
+        w_in = None
+        if values:  # no parse at V 0 (loadtxt would warn) or dim 0 (it would drop empty words)
+            w_in = _values(rows, dim, v) if v and dim else np.zeros((v, dim))
+        for _ in rows:  # the rows past the declared count, or all without values
+            pass
+    missing = [w for w in (PAD_TOKEN, UNK_TOKEN) if w not in seen]
+    if values and missing:
+        w_in = np.vstack([np.zeros((len(missing), dim)), w_in])
+    words = missing + list(seen)
+    return Vocabulary(words, dict.fromkeys(words, 0)), w_in
 
 
 def load_words(path) -> Vocabulary:
-    """The vocabulary of a text-format vectors file, without parsing its values.
-
-    Checks the header, the row count and the columns of every row as
-    ``load_text`` does. Files produced elsewhere may lack the reserved
-    pad/unknown words; those get prepended so ids 0/1 keep their meaning.
-    """
-    words = []
-    with open(path, encoding="utf-8") as fh, utf8_line_errors(path, check_before=_check_lines):
-        v, dim = _read_header(fh)
-        for _ in _rows(fh, v, dim, words):
-            pass
-    return _vocabulary(words)
+    """The vocabulary of a text-format vectors file: ``load_text`` without the values."""
+    return _read(path, values=False)[0]
 
 
 def load_text(path) -> tuple[EmbeddingMatrix, Vocabulary]:
-    """Load text-format vectors; returns input vectors only plus the vocabulary.
-
-    The file is read once: ``np.loadtxt`` parses the values of the rows that
-    the ``load_words`` checks pass, into one array of the row count the
-    header declares. The reserved words ``load_words`` prepends get zero
-    vectors.
-    """
-    words = []
-    with open(path, encoding="utf-8") as fh, utf8_line_errors(path, check_before=_check_text):
-        v, dim = _read_header(fh)
-        rows = _rows(fh, v, dim, words)
-        if v and dim:  # else no values: loadtxt would warn (V 0) or drop empty words (dim 0)
-            try:
-                w_in = _values(rows, dim, v)
-            except ValueError:
-                with open(path, encoding="utf-8") as again:
-                    _check_text(again.read())  # names the line of a bad value
-                raise
-        else:
-            w_in = np.zeros((v, dim))
-        for _ in rows:  # any rows past the declared count: _rows rejects them once drained
-            pass
-    vocab = _vocabulary(words)
-    reserved = len(vocab) - v
-    if reserved:
-        w_in = np.vstack([np.zeros((reserved, dim)), w_in])
+    """Load text-format vectors; returns input vectors only plus the vocabulary."""
+    vocab, w_in = _read(path, values=True)
     return EmbeddingMatrix(w_in, None), vocab

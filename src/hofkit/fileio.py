@@ -4,7 +4,8 @@ Every file a command writes goes through ``atomic_open``: the content is
 written to a temporary file in the target's directory, which then replaces
 the target in one rename. A command that fails part way leaves the previous
 file (or none) in place, never a truncated one. A reader of UTF-8 text runs
-under ``utf8_line_errors``, so an invalid byte is reported with its line.
+under ``utf8_line_errors``, its one error path: an invalid byte is reported
+with its line, and a reader's check puts every defect in line order.
 """
 
 from __future__ import annotations
@@ -39,29 +40,31 @@ def atomic_open(path, mode: str = "w"):
 
 
 @contextlib.contextmanager
-def utf8_line_errors(path, error=ValueError, check_before=None):
-    """Turn a ``UnicodeDecodeError`` while reading ``path`` into ``error`` naming the line.
+def utf8_line_errors(path, error=ValueError, check=None):
+    """Report the first defect, in line order, of a ``ValueError`` while reading ``path``.
 
-    The decoder reports a position within the chunk it was decoding, so the
-    file's bytes are read again to find the 1-based line of its first invalid
-    byte. Only this error path reads them, so a valid file costs nothing more.
-    A reader that decodes ahead of the lines it has checked passes
-    ``check_before``: it is called with the text of the lines before that line
-    and raises the first defect it finds there, so errors come in line order.
+    Only this error path reads the file's bytes again, so a valid file costs
+    nothing more. A reader passes ``check`` where its parser decodes ahead of
+    the rows it has checked or names no line: it raises the first defect of
+    the text it is given, the lines above the first invalid byte, else the
+    whole file. Where it finds none, the invalid byte is raised as ``error``
+    naming its 1-based line, else the error as it was raised.
     """
     try:
         yield
-    except UnicodeDecodeError:
+    except ValueError:  # a UnicodeDecodeError is one
         with open(path, "rb") as fh:
             data = fh.read()
         try:
-            data.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             line_start = data.rfind(b"\n", 0, exc.start) + 1
-            if check_before is not None and line_start:
-                check_before(data[:line_start].decode("utf-8"))
+            if check is not None and line_start:
+                check(data[:line_start].decode("utf-8"))
             line = data.count(b"\n", 0, line_start) + 1
             raise error(
                 f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason}), line {line}"
             ) from None
-        raise  # the file changed since the failed read
+        if check is not None:
+            check(text)
+        raise  # no defect above it, or the file changed since the failed read

@@ -22,6 +22,8 @@ import re
 import unicodedata
 from importlib import resources
 
+from .fileio import utf8_line_errors
+
 __all__ = [
     "PLACEHOLDERS",
     "deidentify",
@@ -134,15 +136,19 @@ def fix_repeats(text: str) -> str:
 def load_suffix_table(path) -> tuple[str, ...]:
     """Read a suffix table: UTF-8, one suffix per line, ``#`` comment lines.
 
-    The returned table is sorted longest-first regardless of file order.
+    The returned table is sorted longest-first regardless of file order. An
+    invalid byte is one ValueError naming the file and the line.
     """
     suffixes = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            suffixes.append(line)
+    try:
+        with open(path, encoding="utf-8") as fh, utf8_line_errors(path):
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                suffixes.append(line)
+    except ValueError as exc:
+        raise ValueError(f"suffix table {path}: {exc}") from None
     return tuple(sorted(suffixes, key=lambda s: (-len(s), s)))
 
 
@@ -251,7 +257,7 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def preprocess(text: str, suffixes: tuple[str, ...] | None = None, *, stem=None) -> list[str]:
+def preprocess(text: str, *, stem=None) -> list[str]:
     """Full normalization pipeline; returns the token stream for one tweet.
 
     The string rules (entities, placeholders, junk, repeats, lowercasing) are
@@ -259,8 +265,8 @@ def preprocess(text: str, suffixes: tuple[str, ...] | None = None, *, stem=None)
     stemming then run once. Preprocessing the joined output is a no-op.
 
     ``stem`` is a stemmer built by ``_stemmer`` and shared by the tweets of one
-    file, so that each distinct token is stemmed once; it replaces
-    ``suffixes``. Without it each call builds its own.
+    file, so that each distinct token is stemmed once. Without it each call
+    builds its own, over the default table.
     """
     # The loop ends: after the first round the text is lowercase, and any
     # later round that changes it removes an "&" (an entity decoded), or keeps
@@ -271,5 +277,5 @@ def preprocess(text: str, suffixes: tuple[str, ...] | None = None, *, stem=None)
             break
         text = cleaned
     if stem is None:
-        stem = _stemmer(suffixes)
+        stem = _stemmer(None)
     return [stem(tok) for tok in tokenize(text)]

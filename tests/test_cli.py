@@ -265,6 +265,19 @@ class TestPreprocessCmd:
         assert cli.main(["preprocess", str(data), str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "\n"
 
+    def test_suffix_table_not_utf8_is_one_error_line_naming_the_file(self, tmp_path, capsys):
+        data = tmp_path / "in.tsv"
+        write_tsv(data, ["t1\tkya baat\tNOT"])
+        table = tmp_path / "bad.txt"
+        table.write_bytes("ों\n".encode() + b"\xff\xfe\n" + "ें\n".encode())
+        out = tmp_path / "out.txt"
+        rc = cli.main(["preprocess", str(data), str(out), "--suffixes", str(table)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: suffix table {table}: byte 0xff is not UTF-8 (invalid start byte), line 2\n"
+        )
+        assert not out.exists()
+
 
 class TestEmbedTrainCmd:
     def test_header_echoes_dim(self, tmp_path):
@@ -1003,7 +1016,8 @@ def _run_quietly(argv):
 
 _JUNK = st.one_of(
     st.binary(max_size=6),
-    st.sampled_from([b" ", b"  ", b"\n", b"\r", b"x", b"#", b"nan", b"-", b"1e999", b"\xff"]),
+    st.sampled_from([b" ", b"  ", b"\n", b"\r", b"x", b"#", b"nan", b"-", b"1e999", b"\xff",
+                     b"xxpad", b"xxunk"]),
 )
 
 
@@ -1044,9 +1058,16 @@ class TestGarbledVectorsFile:
             root = Path(tmp)
             tsv, vectors, ckpt, config = self._workspace(root)
             raw = vectors.read_bytes()
-            pos = data.draw(st.integers(0, len(raw)), label="pos")
-            edit = data.draw(st.sampled_from(["truncate", "replace", "insert"]), label="edit")
-            junk = b"" if edit == "truncate" else data.draw(_JUNK, label="junk")
+            edit = data.draw(st.sampled_from(["truncate", "replace", "insert", "repeat"]),
+                             label="edit")
+            if edit == "repeat":  # a copy of a whole row, inserted before a line
+                lines = raw.split(b"\n")
+                junk = data.draw(st.sampled_from(lines[1:-1]), label="row") + b"\n"
+                at = data.draw(st.integers(1, len(lines) - 1), label="before line")
+                pos = len(b"\n".join(lines[:at])) + 1
+            else:
+                pos = data.draw(st.integers(0, len(raw)), label="pos")
+                junk = b"" if edit == "truncate" else data.draw(_JUNK, label="junk")
             tail = raw[pos + len(junk):] if edit == "replace" else raw[pos:]
             vectors.write_bytes(raw[:pos] + junk + (b"" if edit == "truncate" else tail))
 

@@ -631,6 +631,10 @@ class TestTextFormat:
             ("not a header\n", "header"),
             ("5 2\nxxpad 0 0\n", "declares 5 rows but file has 1"),
             ("1 3\nxxpad 0 0\n", "expected 4 columns, got 3, line 2"),
+            ("4 2\nxxpad 0 0\nxxunk 0 0\nkya 1 2\nkya 3 4\n", "'kya' repeats line 4, line 5"),
+            ("2 2\nxxpad 0 0\nkya 1 2\n", "reserved word 'xxpad' out of place, line 2"),
+            ("1 2\nxxpad 0 0\n", "reserved word 'xxpad' out of place, line 2"),
+            ("2 2\nkya 1 2\nxxunk 0 0\n", "reserved word 'xxunk' out of place, line 3"),
         ]:
             p.write_text(text, encoding="utf-8")
             with pytest.raises(ValueError, match=needle):
@@ -651,8 +655,10 @@ class TestTextFormat:
             ("60 2\nw0 0.1\n", "expected 3 columns, got 2, line 2"),
             ("60 2\nw0 0 1\nw\x1f 0 1\n", "control character U[+]001F, line 3"),
             ("60\nw0 0 1\n", "malformed header"),
+            ("60 2\nw0 0 1\nw1 0 1\nw0 0 1\n", "word 'w0' repeats line 2, line 4"),
+            ("60 2\nw0 0 1\nxxpad 0 1\n", "reserved word 'xxpad' out of place, line 3"),
         ],
-        ids=["columns", "control", "header"],
+        ids=["columns", "control", "header", "repeated", "reserved"],
     )
     @pytest.mark.parametrize("reader", [load_words, load_text])
     def test_a_defect_above_an_invalid_byte_is_reported_first(

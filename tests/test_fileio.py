@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hofkit import corpus, embedding
-from hofkit.fileio import atomic_open
+from hofkit.fileio import atomic_open, utf8_line_errors
 
 
 def _leftovers(folder):
@@ -47,3 +47,43 @@ class TestAtomicOpen:
         with pytest.raises(UnicodeEncodeError):
             vocab.save(out)
         assert not out.exists()
+
+
+def _bad_rows(text):
+    """Raise the first line of ``text`` that reads ``bad``, naming it."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line == "bad":
+            raise ValueError(f"bad row, line {lineno}")
+
+
+class TestUtf8LineErrors:
+    def test_an_earlier_defect_replaces_a_plain_value_error(self, tmp_path):
+        p = tmp_path / "in.txt"
+        p.write_text("ok\nbad\nok\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^bad row, line 2$"):
+            with utf8_line_errors(p, check=_bad_rows):
+                raise ValueError("parser error at row 3")
+
+    def test_a_plain_value_error_is_reraised_where_check_finds_none(self, tmp_path):
+        p = tmp_path / "in.txt"
+        p.write_text("ok\nok\n", encoding="utf-8")
+        error = ValueError("parser error at row 3")
+        with pytest.raises(ValueError) as raised:
+            with utf8_line_errors(p, check=_bad_rows):
+                raise error
+        assert raised.value is error
+
+    @pytest.mark.parametrize("check", [None, _bad_rows])
+    def test_an_invalid_byte_is_reported_with_its_line(self, tmp_path, check):
+        p = tmp_path / "in.txt"
+        p.write_bytes(b"ok\nok\n\xff\nbad\n")
+        with pytest.raises(RuntimeError, match=r"^byte 0xff is not UTF-8 .*, line 3$"):
+            with utf8_line_errors(p, RuntimeError, check):
+                p.read_text(encoding="utf-8")
+
+    def test_a_defect_above_an_invalid_byte_comes_first(self, tmp_path):
+        p = tmp_path / "in.txt"
+        p.write_bytes(b"ok\nbad\n\xff\n")
+        with pytest.raises(ValueError, match="^bad row, line 2$"):
+            with utf8_line_errors(p, check=_bad_rows):
+                p.read_text(encoding="utf-8")
